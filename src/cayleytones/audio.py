@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .music import MusicalSystem
+from .music import MusicalSystem, validate_system
 
 SAMPLE_RATE = 44100
 
@@ -202,8 +202,6 @@ class RenderPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RenderPlan":
-        from .music import validate_system
-
         sysdata = data["system"]
         p, q = int(sysdata["p"]), int(sysdata["q"])
         system = validate_system(

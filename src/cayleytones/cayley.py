@@ -189,20 +189,6 @@ class CayleyGraph:
         return Path(tuple(reversed(vertices)), tuple(reversed(steps)))
 
 
-def distance(
-    G: CayleyGraph, a: Union[ModElement, int], b: Union[ModElement, int]
-) -> int:
-    """The graph metric d(a, b) on the unoriented view of G."""
-    return G.distance(a, b)
-
-
-def oriented_path_length(
-    G: CayleyGraph, a: Union[ModElement, int], b: Union[ModElement, int]
-) -> int:
-    """Directed BFS length from a to b."""
-    return G.oriented_path_length(a, b)
-
-
 def _as_function(f) -> Callable[[int], int]:
     if isinstance(f, Mapping):
         return lambda x: f[x]

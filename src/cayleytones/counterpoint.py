@@ -3,21 +3,17 @@
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import combinations, product
+from typing import Iterable, Iterator, Optional
 
-from .cayley import CayleyGraph, GeneratorSet, is_isometry_by_generators
-from .modular import (
-    AffineMap,
-    Automorphism,
-    ModRing,
-    fixed_points,
-    is_involution,
-    units,
+from .cayley import (
+    CayleyGraph,
+    GeneratorSet,
+    GeneratorSetError,
+    is_isometry_by_generators,
 )
-
-SORT_ENV_VAR = "CAYLEYTONES_SEED_SORT"
+from .modular import AffineMap, ModRing, fixed_points, is_involution, units
 
 
 class NoStrongDichotomyError(ValueError):
@@ -30,10 +26,6 @@ class AmbiguousRefinementError(ValueError):
     def __init__(self, ties: list[tuple[int, ...]]):
         super().__init__(f"tied partitions: {ties}")
         self.ties = ties
-
-
-def _sorting_enabled() -> bool:
-    return os.environ.get(SORT_ENV_VAR, "1") != "0"
 
 
 @dataclass(frozen=True)
@@ -194,48 +186,50 @@ class SearchReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _sorted_witnesses(witnesses: list[AffineMap]) -> tuple[AffineMap, ...]:
-    if _sorting_enabled():
-        return tuple(sorted(witnesses, key=AffineMap.sort_key))
-    return tuple(witnesses)
+def _image(T: AffineMap, X: Iterable[int]) -> frozenset[int]:
+    h, w, n = T.multiplier, T.offset, T.ring.n
+    return frozenset((h * x + w) % n for x in X)
 
 
-def _preserving_multipliers(S: GeneratorSet) -> set[int]:
-    """Units whose automorphism maps S onto itself (the isometries)."""
-    ring = S.ring
-    return {
-        h
+def _involutive_isometries(S: GeneratorSet) -> list[AffineMap]:
+    """Every map x -> hx+w with h^2 = 1, hS = S and (h+1)w = 0, by (h, w).
+
+    These are the involutive affine isometries of the step graph; every
+    search filters this one table.
+    """
+    if not S.is_symmetric:
+        raise GeneratorSetError("criterion requires a symmetric generator set")
+    if not S.is_generating():
+        raise GeneratorSetError("criterion requires a generating set")
+    ring, n = S.ring, S.ring.n
+    steps = frozenset(S.elements)
+    return [
+        AffineMap(ring, h, w)
         for h in units(ring)
-        if is_isometry_by_generators(Automorphism(ring, h), S)
-    }
+        if (h * h) % n == 1 and frozenset((h * s) % n for s in steps) == steps
+        for w in range(n)
+        if ((h + 1) * w) % n == 0
+    ]
+
+
+def _weak_witnesses(
+    table: list[AffineMap], members: frozenset[int]
+) -> list[AffineMap]:
+    return [T for T in table if not (_image(T, members) & members)]
 
 
 def find_affine_for_partition(
     dichotomy: Dichotomy, G: CayleyGraph
 ) -> list[AffineMap]:
-    """Scan all |U(n)|*n affine maps for strong witnesses.
+    """All strong witnesses among the |U(n)|*n affine maps, by (h, w).
 
-    The multiplier-side isometry test is hoisted out of the offset loop;
-    results match filtering the full scan through satisfies_strong.
+    Results match filtering the full scan through satisfies_strong.
     """
     S = _metric_generators(G)
     if not dichotomy.is_full_partition:
         raise ValueError("strong condition needs a full partition of Z_n")
-    ring = G.ring
-    n = ring.n
-    preserving = _preserving_multipliers(S)
-    K = dichotomy.consonant
-    D = set(dichotomy.dissonant)
-    found = []
-    for h in units(ring):
-        if h not in preserving or (h * h) % n != 1:
-            continue
-        for w in range(n):
-            if ((h + 1) * w) % n != 0:
-                continue
-            if {(h * x + w) % n for x in K} == D:
-                found.append(AffineMap(ring, h, w))
-    return list(_sorted_witnesses(found))
+    K, D = dichotomy.consonant, dichotomy.dissonant
+    return [T for T in _involutive_isometries(S) if _image(T, K) == D]
 
 
 def strong_search_report(dichotomy: Dichotomy, G: CayleyGraph) -> SearchReport:
@@ -276,22 +270,9 @@ def enumerate_weak_witnesses(n: int, S: Iterable[int]) -> SearchReport:
     """
     ring = ModRing(n)
     seed = ConsonantSeed(GeneratorSet(ring, tuple(S)))
-    unit_list = units(ring)
-    examined = len(unit_list) * n
     members = seed.members
-    preserving = _preserving_multipliers(seed.generators)
-    witnesses = []
-    involutive_isometries = 0
-    for h in unit_list:
-        if h not in preserving or (h * h) % n != 1:
-            continue
-        for w in range(n):
-            if ((h + 1) * w) % n != 0:
-                continue
-            involutive_isometries += 1
-            image = {(h * x + w) % n for x in members}
-            if not (image & members):
-                witnesses.append(AffineMap(ring, h, w))
+    table = _involutive_isometries(seed.generators)
+    witnesses = _weak_witnesses(table, members)
     outside = sorted(set(range(n)) - set(sumset(members, members, ring)))
     witness_keys = {(T.multiplier, T.offset) for T in witnesses}
     missing = [w for w in outside if (n - 1, w) not in witness_keys]
@@ -301,43 +282,38 @@ def enumerate_weak_witnesses(n: int, S: Iterable[int]) -> SearchReport:
         )
     notes = (
         f"seed consonances: {sorted(members)}",
-        f"involutive isometries among candidates: {involutive_isometries}",
+        f"involutive isometries among candidates: {len(table)}",
         f"offsets outside seed sumset (all confirmed with multiplier {n - 1}): {outside}",
     )
     return SearchReport(
         n,
         seed.generators.elements,
-        examined,
-        _sorted_witnesses(witnesses),
+        len(units(ring)) * n,
+        tuple(witnesses),
         (),
         notes,
     )
 
 
-def _extensions(
-    T: AffineMap, base: frozenset[int], pool: list[int], needed: int
-) -> list[frozenset[int]]:
-    """All supersets base + (needed picks from pool) kept off their T-image.
+def _orbit_pairs(T: AffineMap, seed: frozenset[int]) -> list[tuple[int, int]]:
+    """The pairs {z, T(z)}, z != T(z), that avoid the seed and its image."""
+    taken = seed | _image(T, seed)
+    return sorted(
+        {
+            tuple(sorted((z, T(z))))
+            for z in range(T.ring.n)
+            if z not in taken and T(z) != z
+        }
+    )
 
-    Backtracking in ascending order; choosing z removes T(z) from play.
-    """
-    results = []
 
-    def step(start: int, chosen: list[int]) -> None:
-        if len(chosen) == needed:
-            results.append(base | set(chosen))
-            return
-        for i in range(start, len(pool)):
-            z = pool[i]
-            image = T(z)
-            if image in base or image in chosen or image == z:
-                continue
-            chosen.append(z)
-            step(i + 1, chosen)
-            chosen.pop()
-
-    step(0, [])
-    return results
+def _choices(
+    seed: frozenset[int], pairs: list[tuple[int, int]], k: int
+) -> Iterator[frozenset[int]]:
+    """The seed plus one element from each of k of the pairs."""
+    for chosen in combinations(pairs, k):
+        for picks in product(*chosen):
+            yield seed | frozenset(picks)
 
 
 def extend_to_partitions(seed: ConsonantSeed, G: CayleyGraph) -> SearchReport:
@@ -359,17 +335,17 @@ def extend_to_partitions(seed: ConsonantSeed, G: CayleyGraph) -> SearchReport:
     found: dict[frozenset[int], list[AffineMap]] = {}
     subsets_examined = 0
     for T in weak_report.witnesses:
-        image = {T(x) for x in members}
-        pool = sorted(set(range(n)) - members - image)
-        extensions = _extensions(T, members, pool, needed)
-        subsets_examined += len(extensions)
-        for K in extensions:
-            found.setdefault(frozenset(K), []).append(T)
+        for K in _choices(members, _orbit_pairs(T, members), needed):
+            subsets_examined += 1
+            found.setdefault(K, []).append(T)
+    # A strong witness of K sends the seed inside K onto D, off the seed.
+    table = _involutive_isometries(_metric_generators(G))
+    candidates = _weak_witnesses(table, members)
+    universe = frozenset(range(n))
     records = []
     for K, producers in found.items():
-        D = frozenset(range(n)) - K
-        dichotomy = Dichotomy(seed.ring, K, D)
-        strong = find_affine_for_partition(dichotomy, G)
+        D = universe - K
+        strong = [T for T in candidates if _image(T, K) == D]
         best = min(strong or producers, key=AffineMap.sort_key)
         records.append(
             PartitionRecord(
@@ -380,8 +356,7 @@ def extend_to_partitions(seed: ConsonantSeed, G: CayleyGraph) -> SearchReport:
                 len(strong),
             )
         )
-    if _sorting_enabled():
-        records.sort(key=lambda r: (r.multiplier, r.offset, r.consonant))
+    records.sort(key=lambda r: (r.multiplier, r.offset, r.consonant))
     notes = weak_report.notes + (
         f"half-partition extensions found: {len(records)}",
         f"extension subsets accepted across witnesses: {subsets_examined}",
@@ -408,46 +383,31 @@ def maximal_consonant_extension(
         raise ValueError("the supplied map does not satisfy the weak condition")
     n = seed.ring.n
     members = seed.members
-    fixed = sorted(fixed_points(T))
-    image = {T(x) for x in members}
-    pool = sorted(set(range(n)) - members - image - set(fixed))
-    # The pool splits into pairs {z, T(z)}; a maximal set picks one of each.
-    orbits = sorted({tuple(sorted((z, T(z)))) for z in pool})
-    results: list[frozenset[int]] = []
-
-    def choose(index: int, chosen: list[int]) -> None:
-        if index == len(orbits):
-            results.append(members | set(chosen))
-            return
-        for z in orbits[index]:
-            chosen.append(z)
-            choose(index + 1, chosen)
-            chosen.pop()
-
-    choose(0, [])
+    pairs = _orbit_pairs(T, members)
+    table = _involutive_isometries(_metric_generators(G))
+    candidates = _weak_witnesses(table, members)
     records = []
-    for K in results:
-        D = frozenset(T(x) for x in K)
+    for K in _choices(members, pairs, len(pairs)):
+        D = _image(T, K)
         strong = 0
         if len(K) + len(D) == n:
-            strong = len(find_affine_for_partition(Dichotomy(seed.ring, K, D), G))
+            strong = sum(_image(U, K) == D for U in candidates)
         records.append(
             PartitionRecord(
                 tuple(sorted(K)), tuple(sorted(D)), T.multiplier, T.offset, strong
             )
         )
-    if _sorting_enabled():
-        records.sort(key=lambda r: r.consonant)
+    records.sort(key=lambda r: r.consonant)
     notes = (
         f"seed consonances: {sorted(members)}",
-        f"fixed points excluded from candidates: {fixed}",
-        f"free orbit pairs under the involution: {[list(o) for o in orbits]}",
-        f"maximal consonant sets: {len(records)} of size {len(members) + len(orbits)}",
+        f"fixed points excluded from candidates: {sorted(fixed_points(T))}",
+        f"free orbit pairs under the involution: {[list(o) for o in pairs]}",
+        f"maximal consonant sets: {len(records)} of size {len(members) + len(pairs)}",
     )
     return SearchReport(
         n,
         seed.generators.elements,
-        len(results),
+        len(records),
         (T,),
         tuple(records),
         notes,

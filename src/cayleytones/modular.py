@@ -93,26 +93,6 @@ class ModElement:
         return f"{self.value} (mod {self.ring.n})"
 
 
-def add(a: ModElement, b: ModElement) -> ModElement:
-    """(a + b) mod n."""
-    return a + b
-
-
-def sub(a: ModElement, b: ModElement) -> ModElement:
-    """(a - b) mod n."""
-    return a - b
-
-
-def mul(a: ModElement, b: ModElement) -> ModElement:
-    """(a * b) mod n."""
-    return a * b
-
-
-def neg(a: ModElement) -> ModElement:
-    """The additive inverse n - a, with neg(0) = 0."""
-    return -a
-
-
 def units(ring: ModRing) -> list[int]:
     """U(n): residues coprime to n, sorted ascending."""
     return [k for k in range(1, ring.n) if math.gcd(k, ring.n) == 1]
@@ -190,11 +170,6 @@ class AffineMap:
 
     def __repr__(self) -> str:
         return f"{self.multiplier}x+{self.offset} (mod {self.ring.n})"
-
-
-def apply(T: AffineMap, x: Union[ModElement, int]):
-    """T(x) = (h*x + w) mod n."""
-    return T(x)
 
 
 def compose(T1: AffineMap, T2: AffineMap) -> AffineMap:

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line entry point."""
 
+import hashlib
 import json
 
 import pytest
@@ -283,3 +284,31 @@ def test_intervals_json(capsys):
     rows = json.loads(out)
     assert len(rows) == 12
     assert rows[7]["pythagorean"] == "3/2"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        # 244 partitions
+        (
+            ("-p", "5", "-q", "4", "--extend"),
+            "3595e5c93a0c65acae894cc70a1ba74611a6dc45e7a5aa36fe9d7fb6219e640a",
+        ),
+        (
+            ("-p", "5", "-q", "3", "--maximal"),
+            "fe6fa38d6684305a62b9a2e15a60ea8c9d895f76a8da146535bc112b2481e6a7",
+        ),
+        (
+            ("-p", "7", "-q", "4", "--weak"),
+            "5792c41218ac6b003239cf2e929a1157866b5496ec4fa6eaea563469f2695ced",
+        ),
+        (
+            ("-p", "4", "-q", "3", "--strong"),
+            "1a93f12d58d6a755226cd8eb550d5411c4413be9626d5b03897433878ed0605c",
+        ),
+    ],
+)
+def test_counterpoint_json_bytes_are_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, "counterpoint", "search", *argv, "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -3,8 +3,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cayleytones.cayley import CayleyGraph, GeneratorSet
+from cayleytones.cayley import CayleyGraph, GeneratorSet, is_isometry_bruteforce
 from cayleytones.counterpoint import (
     AmbiguousRefinementError,
     ConsonantSeed,
@@ -23,7 +24,7 @@ from cayleytones.counterpoint import (
     strong_search_report,
     sumset,
 )
-from cayleytones.modular import AffineMap, ModRing, units
+from cayleytones.modular import AffineMap, ModRing, is_involution, units
 from cayleytones.music import system_from_factors
 
 RING12 = ModRing(12)
@@ -40,6 +41,14 @@ def _setup(p, q):
 S12, SEED12, G12 = _setup(4, 3)
 S10, SEED10, G10 = _setup(5, 2)
 S15, SEED15, G15 = _setup(5, 3)
+
+# Every coprime factor pair p > q > 1 with n = p*q <= 30.
+SMALL_SYSTEMS = [
+    (p, q)
+    for q in range(2, 16)
+    for p in range(q + 1, 16)
+    if p * q <= 30 and math.gcd(p, q) == 1
+]
 
 
 def _keys(maps):
@@ -329,10 +338,25 @@ def test_report_json_schema():
     assert sorted(first["K"] + first["D"]) == list(range(12))
 
 
-def test_seed_sort_env_toggle(monkeypatch):
-    monkeypatch.setenv("CAYLEYTONES_SEED_SORT", "0")
-    unsorted_report = enumerate_weak_witnesses(12, (3, 4, 8, 9))
-    monkeypatch.setenv("CAYLEYTONES_SEED_SORT", "1")
-    sorted_report = enumerate_weak_witnesses(12, (3, 4, 8, 9))
-    assert set(_keys(unsorted_report.witnesses)) == set(_keys(sorted_report.witnesses))
-    assert _keys(sorted_report.witnesses) == sorted(_keys(sorted_report.witnesses))
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_SYSTEMS), st.booleans(), st.randoms(use_true_random=False))
+def test_searches_agree_with_the_per_map_oracles(pq, paired, rnd):
+    """Each search against its per-map predicate over all |U(n)|*n maps."""
+    system, seed, graph = _setup(*pq)
+    ring, n = system.ring, system.n
+    maps = [AffineMap(ring, h, w) for h in units(ring) for w in range(n)]
+    if paired and n % 2 == 0:
+        # One of each pair {z, 1-z}, so that x -> 1-x is a strong witness.
+        K = frozenset(rnd.choice((z, (1 - z) % n)) for z in range(1, n // 2 + 1))
+    else:
+        K = frozenset(rnd.sample(range(n), n // 2))
+    dichotomy = Dichotomy(ring, K, frozenset(range(n)) - K)
+    assert find_affine_for_partition(dichotomy, graph) == [
+        T for T in maps if satisfies_strong(T, dichotomy, graph)
+    ]
+    report = enumerate_weak_witnesses(n, seed.generators.elements)
+    assert list(report.witnesses) == [
+        T for T in maps if satisfies_weak(T, seed, graph)
+    ]
+    involutive = sum(is_involution(T) and is_isometry_bruteforce(graph, T) for T in maps)
+    assert f"involutive isometries among candidates: {involutive}" in report.notes
