@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import wave
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -50,6 +51,11 @@ class ToneSpec:
             raise ValueError(f"frequency must be positive, got {self.frequency}")
         if not self.duration > 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
+        if not (math.isfinite(self.frequency) and math.isfinite(self.duration)):
+            raise ValueError(
+                f"frequency and duration must be finite, got {self.frequency} Hz "
+                f"for {self.duration} s"
+            )
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,8 @@ class Envelope:
     release: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.attack < 0 or self.decay < 0 or self.release < 0:
+        # Written so that NaN fails every check.
+        if not (self.attack >= 0 and self.decay >= 0 and self.release >= 0):
             raise ValueError("envelope segment durations must be nonnegative")
         if not 0 <= self.sustain_level <= 1:
             raise ValueError("sustain level must lie in [0, 1]")
@@ -175,6 +182,8 @@ class RenderEvent:
             raise ValueError(f"unknown event kind {self.kind!r}")
         if not self.duration > 0:
             raise ValueError("event durations must be positive")
+        if not math.isfinite(self.duration):
+            raise ValueError(f"event durations must be finite, got {self.duration}")
         if self.kind == "rest" and self.notes:
             raise ValueError("rests carry no notes")
         if self.kind == "note" and len(self.notes) != 1:
@@ -202,7 +211,8 @@ class RenderPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RenderPlan":
-        sysdata = data["system"]
+        _expect(data, dict, "a render plan")
+        sysdata = _expect(data["system"], dict, "system")
         p, q = int(sysdata["p"]), int(sysdata["q"])
         system = validate_system(
             int(sysdata.get("n", p * q)),
@@ -212,10 +222,10 @@ class RenderPlan:
             float(sysdata.get("f0", 440.0)),
         )
         events = []
-        for entry in data["events"]:
-            kind = entry["kind"]
+        for entry in _expect(data["events"], list, "events"):
+            kind = _expect(entry, dict, "an event")["kind"]
             notes = []
-            for item in entry.get("notes", []):
+            for item in _expect(entry.get("notes", []), list, "notes"):
                 if isinstance(item, dict):
                     notes.append((int(item["note"]), int(item.get("octave", 0))))
                 else:
@@ -224,10 +234,19 @@ class RenderPlan:
         return cls(system, tuple(events))
 
 
+def _expect(value, kind: type, what: str):
+    """value itself if it has the JSON shape kind (dict or list)."""
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise ValueError(f"{what} must be {shape}, got {type(value).__name__}")
+    return value
+
+
 def envelope_from_dict(data: Optional[dict]) -> Optional[Envelope]:
     """Envelope from a plan file's optional 'envelope' object."""
     if data is None:
         return None
+    _expect(data, dict, "envelope")
     return Envelope(
         float(data.get("attack", 0.02)),
         float(data.get("decay", 0.05)),
@@ -271,8 +290,12 @@ def _quantize(samples: np.ndarray) -> np.ndarray:
 
 def write_wav(buffer: SampleBuffer, path) -> None:
     """16-bit signed little-endian PCM, mono, standard RIFF header."""
+    if not np.isfinite(buffer.samples).all():
+        raise ValueError("cannot write non-finite samples (NaN or inf) to a WAV file")
     data = _quantize(buffer.samples).tobytes()
-    with wave.open(str(path), "wb") as handle:
+    # Opening the file first keeps a bad path to the one OSError: given a
+    # path it cannot open, wave.open also prints a traceback on cleanup.
+    with open(path, "wb") as raw, wave.open(raw, "wb") as handle:
         handle.setnchannels(1)
         handle.setsampwidth(2)
         handle.setframerate(buffer.sample_rate)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
@@ -46,19 +47,12 @@ class GeneratorSet:
         return GeneratorSet(self.ring, self.elements + tuple(extra))
 
     def is_generating(self) -> bool:
-        """True iff the closure of {0} under +-steps covers all of Z_n."""
-        n = self.ring.n
-        steps = set(self.symmetrized().elements)
-        seen = {0}
-        frontier = deque([0])
-        while frontier:
-            v = frontier.popleft()
-            for w in steps:
-                u = (v + w) % n
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        return len(seen) == n
+        """True iff the closure of {0} under +-steps covers all of Z_n.
+
+        That closure is the subgroup gcd(n, S)*Z_n, so it is all of Z_n
+        exactly when gcd(n, S) = 1.
+        """
+        return math.gcd(self.ring.n, *self.elements) == 1
 
     def __iter__(self):
         return iter(self.elements)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -52,30 +53,22 @@ def _system(args: argparse.Namespace) -> MusicalSystem:
     return system_from_factors(args.p, args.q, args.s, args.f0)
 
 
-def _indent(args: argparse.Namespace) -> Optional[int]:
-    return 2 if args.pretty else None
+def _join(values, sep: str = " ") -> str:
+    return sep.join(str(x) for x in values)
 
 
-def _human_active(args: argparse.Namespace) -> bool:
-    """Reports print tables only on a terminal or under --pretty."""
-    if args.json:
-        return False
-    return args.pretty or sys.stdout.isatty()
+# Each handler below returns (JSON payload, text) for main to print.
+_Output = tuple[object, str]
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> _Output:
     system = _system(args)
-    if args.json:
-        print(json.dumps(system.to_dict(), indent=_indent(args)))
-    else:
-        print(
-            f"ok: n={system.n} p={system.p} q={system.q} "
-            f"s={system.s} f0={system.f0}"
-        )
-    return 0
+    return system.to_dict(), (
+        f"ok: n={system.n} p={system.p} q={system.q} s={system.s} f0={system.f0}"
+    )
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
+def _cmd_graph(args: argparse.Namespace) -> None:
     system = _system(args)
     graph = CayleyGraph(system.generator_set, oriented=args.oriented)
     dot = export_dot(graph)
@@ -84,83 +77,44 @@ def _cmd_graph(args: argparse.Namespace) -> int:
             handle.write(dot)
     else:
         sys.stdout.write(dot)
-    return 0
 
 
-def _cmd_distance(args: argparse.Namespace) -> int:
+def _cmd_distance(args: argparse.Namespace) -> _Output:
     system = _system(args)
-    if args.oriented:
-        graph = CayleyGraph(system.generator_set, oriented=True)
-        length = graph.oriented_path_length(args.a, args.b)
-    else:
-        graph = CayleyGraph(system.generator_set, oriented=False)
-        length = graph.distance(args.a, args.b)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "from": args.a,
-                    "to": args.b,
-                    "oriented": args.oriented,
-                    "length": length,
-                },
-                indent=_indent(args),
-            )
-        )
-    else:
-        print(length)
-    return 0
+    graph = CayleyGraph(system.generator_set, oriented=args.oriented)
+    measure = graph.oriented_path_length if args.oriented else graph.distance
+    length = measure(args.a, args.b)
+    payload = {"from": args.a, "to": args.b, "oriented": args.oriented, "length": length}
+    return payload, str(length)
 
 
-def _cmd_chords(args: argparse.Namespace) -> int:
+def _cmd_chords(args: argparse.Namespace) -> _Output:
     system = _system(args)
     if args.quality is None:
         if args.root is not None:
             raise CliError("--root requires --quality")
         entries = chord_catalog(system)
-        if args.json:
-            print(
-                json.dumps([entry.to_dict() for entry in entries], indent=_indent(args))
-            )
-        else:
-            for entry in entries:
-                pattern = " ".join(f"+{w}" for w in entry.steps)
-                print(f"{entry.name}: {pattern}")
-        return 0
+        return [entry.to_dict() for entry in entries], "\n".join(
+            f"{entry.name}: " + _join(f"+{w}" for w in entry.steps)
+            for entry in entries
+        )
     root = args.root if args.root is not None else 0
     small = triad(system, root, args.quality)
     big = largest_chord_within_octave(system, root, args.quality)
-    if args.json:
-        print(
-            json.dumps(
-                {"triad": small.to_dict(), "largest_within_octave": big.to_dict()},
-                indent=_indent(args),
-            )
-        )
-    else:
-        print("triad: " + " ".join(str(x) for x in small.notes))
-        print("largest within octave: " + " ".join(str(x) for x in big.notes))
-    return 0
+    return {"triad": small.to_dict(), "largest_within_octave": big.to_dict()}, (
+        f"triad: {_join(small.notes)}\nlargest within octave: {_join(big.notes)}"
+    )
 
 
-def _cmd_scale(args: argparse.Namespace) -> int:
-    system = _system(args)
-    result = scale(system, args.root, args.quality)
-    if args.json:
-        print(result.to_json(indent=_indent(args)))
-    else:
-        print(" ".join(str(x) for x in result.notes))
-    return 0
+def _cmd_scale(args: argparse.Namespace) -> _Output:
+    result = scale(_system(args), args.root, args.quality)
+    return result.to_dict(), _join(result.notes)
 
 
-def _cmd_circle(args: argparse.Namespace) -> int:
+def _cmd_circle(args: argparse.Namespace) -> _Output:
     system = _system(args)
     circle = circle_of_fifths(system)
-    if args.json:
-        print(circle.to_json(indent=_indent(args)))
-    else:
-        print(" ".join(str(x) for x in circle.sequence[: system.n]))
-    return 0
+    return circle.to_dict(), _join(circle.sequence[: system.n])
 
 
 def _parse_residues(text: str, n: int) -> frozenset[int]:
@@ -171,40 +125,30 @@ def _parse_residues(text: str, n: int) -> frozenset[int]:
     return frozenset(value % n for value in values)
 
 
-def _report_lines(report) -> list[str]:
-    generators = ",".join(str(s) for s in report.generators)
-    lines = [f"n={report.n} S={{{generators}}} examined={report.examined}"]
-    for witness in report.witnesses:
-        lines.append(f"witness {witness.multiplier}x+{witness.offset}")
-    for record in report.partitions:
-        consonant = ",".join(str(x) for x in record.consonant)
-        dissonant = ",".join(str(x) for x in record.dissonant)
-        lines.append(
-            f"K={{{consonant}}} D={{{dissonant}}} "
-            f"via {record.multiplier}x+{record.offset} "
-            f"strong_witnesses={record.strong_witness_count}"
+def _table(result) -> str:
+    if isinstance(result, Dichotomy):
+        return (
+            f"K = {_join(sorted(result.consonant))}\n"
+            f"D = {_join(sorted(result.dissonant))}"
         )
-    for note in report.notes:
-        lines.append(f"note: {note}")
-    return lines
+    generators = _join(result.generators, ",")
+    lines = [f"n={result.n} S={{{generators}}} examined={result.examined}"]
+    lines += [f"witness {w.multiplier}x+{w.offset}" for w in result.witnesses]
+    lines += [
+        f"K={{{_join(r.consonant, ',')}}} D={{{_join(r.dissonant, ',')}}} "
+        f"via {r.multiplier}x+{r.offset} strong_witnesses={r.strong_witness_count}"
+        for r in result.partitions
+    ]
+    lines += [f"note: {note}" for note in result.notes]
+    return "\n".join(lines)
 
 
-def _emit_report(args: argparse.Namespace, report) -> None:
-    if _human_active(args):
-        for line in _report_lines(report):
-            print(line)
-    else:
-        print(report.to_json(indent=_indent(args) if args.json else None))
-
-
-def _cmd_counterpoint(args: argparse.Namespace) -> int:
-    system = _system(args)
+def _search(args: argparse.Namespace, system: MusicalSystem):
+    """The search report for args.mode, or the chosen Dichotomy for refine."""
     seed = ConsonantSeed(system.symmetric_generator_set)
     graph = CayleyGraph(system.symmetric_generator_set, oriented=False)
     if args.mode == "weak":
-        report = enumerate_weak_witnesses(system.n, seed.generators.elements)
-        _emit_report(args, report)
-        return 0
+        return enumerate_weak_witnesses(system.n, seed.generators.elements)
     if args.mode == "strong":
         if args.consonants:
             consonant = _parse_residues(args.consonants, system.n)
@@ -215,9 +159,7 @@ def _cmd_counterpoint(args: argparse.Namespace) -> int:
                 "--strong needs --consonants for systems other than -p 4 -q 3"
             )
         dissonant = frozenset(range(system.n)) - consonant
-        dichotomy = Dichotomy(system.ring, consonant, dissonant)
-        _emit_report(args, strong_search_report(dichotomy, graph))
-        return 0
+        return strong_search_report(Dichotomy(system.ring, consonant, dissonant), graph)
     if args.mode == "maximal":
         if (args.multiplier is None) != (args.offset is None):
             raise CliError("--maximal takes both --multiplier and --offset")
@@ -228,57 +170,46 @@ def _cmd_counterpoint(args: argparse.Namespace) -> int:
             if not weak.witnesses:
                 raise CliError(f"Z_{system.n} admits no weak witness to extend")
             witness = weak.witnesses[0]
-        _emit_report(args, maximal_consonant_extension(seed, witness, graph))
-        return 0
+        return maximal_consonant_extension(seed, witness, graph)
+    report = extend_to_partitions(seed, graph)
     if args.mode == "refine":
-        report = extend_to_partitions(seed, graph)
         oriented = CayleyGraph(system.generator_set, oriented=True)
-        dichotomy = minimal_oriented_refinement(report, oriented)
-        if _human_active(args):
-            print("K = " + " ".join(str(x) for x in sorted(dichotomy.consonant)))
-            print("D = " + " ".join(str(x) for x in sorted(dichotomy.dissonant)))
-        else:
-            print(dichotomy.to_json(indent=_indent(args) if args.json else None))
-        return 0
-    _emit_report(args, extend_to_partitions(seed, graph))
-    return 0
+        return minimal_oriented_refinement(report, oriented)
+    return report
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
+def _cmd_counterpoint(args: argparse.Namespace) -> None:
+    result = _search(args, _system(args))
+    # Without --json, reports print as tables on a terminal or under --pretty.
+    if not args.json and (args.pretty or sys.stdout.isatty()):
+        print(_table(result))
+    else:
+        print(result.to_json(indent=2 if args.pretty else None))
+
+
+def _cmd_render(args: argparse.Namespace) -> _Output:
     with open(args.plan, encoding="utf-8") as handle:
         data = json.load(handle)
     plan = RenderPlan.from_dict(data)
-    buffer = render(
-        plan,
-        envelope_from_dict(data.get("envelope")),
-        float(data.get("modulation_depth", 0.0)),
-    )
+    envelope = envelope_from_dict(data.get("envelope"))
+    depth = float(data.get("modulation_depth", 0.0))
+    if not math.isfinite(depth):
+        raise CliError(f"modulation_depth must be finite, got {depth}")
+    buffer = render(plan, envelope, depth)
     write_wav(buffer, args.out)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "out": args.out,
-                    "samples": len(buffer),
-                    "sample_rate": buffer.sample_rate,
-                },
-                indent=_indent(args),
-            )
-        )
-    else:
-        print(f"wrote {args.out}: {len(buffer)} samples at {buffer.sample_rate} Hz")
-    return 0
+    payload = {"out": args.out, "samples": len(buffer), "sample_rate": buffer.sample_rate}
+    return payload, (
+        f"wrote {args.out}: {len(buffer)} samples at {buffer.sample_rate} Hz"
+    )
 
 
-def _cmd_intervals(args: argparse.Namespace) -> int:
-    rows = interval_table()
-    if args.json:
-        print(json.dumps([row.to_dict() for row in rows], indent=_indent(args)))
-    else:
-        for row in rows:
-            ratio = f"{row.pythagorean.numerator}/{row.pythagorean.denominator}"
-            print(f"{row.index:2d} {row.name:<14} {ratio:>8} deviation {row.deviation:.6f}")
-    return 0
+def _cmd_intervals(args: argparse.Namespace) -> _Output:
+    rows = [row.to_dict() for row in interval_table()]
+    return rows, "\n".join(
+        f"{r['index']:2d} {r['name']:<14} {r['pythagorean']:>8} "
+        f"deviation {r['deviation']:.6f}"
+        for r in rows
+    )
 
 
 def _build_parser() -> _Parser:
@@ -368,41 +299,16 @@ def _build_parser() -> _Parser:
     )
     cmd.add_argument("action", choices=["search"], help="only 'search' exists")
     mode = cmd.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--weak",
-        dest="mode",
-        action="store_const",
-        const="weak",
-        help="enumerate weak witnesses over {0} union S",
-    )
-    mode.add_argument(
-        "--strong",
-        dest="mode",
-        action="store_const",
-        const="strong",
-        help="scan for strong witnesses of one partition",
-    )
-    mode.add_argument(
-        "--extend",
-        dest="mode",
-        action="store_const",
-        const="extend",
-        help="grow the seed to full partitions (default)",
-    )
-    mode.add_argument(
-        "--maximal",
-        dest="mode",
-        action="store_const",
-        const="maximal",
-        help="maximal consonant supersets under one involution",
-    )
-    mode.add_argument(
-        "--refine",
-        dest="mode",
-        action="store_const",
-        const="refine",
-        help="pick the partition minimizing oriented lengths",
-    )
+    for name, text in (
+        ("weak", "enumerate weak witnesses over {0} union S"),
+        ("strong", "scan for strong witnesses of one partition"),
+        ("extend", "grow the seed to full partitions (default)"),
+        ("maximal", "maximal consonant supersets under one involution"),
+        ("refine", "pick the partition minimizing oriented lengths"),
+    ):
+        mode.add_argument(
+            f"--{name}", dest="mode", action="store_const", const=name, help=text
+        )
     cmd.add_argument(
         "--consonants",
         help="comma-separated consonant residues (required by --strong off Z_12)",
@@ -433,20 +339,20 @@ def _build_parser() -> _Parser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        result = args.handler(args)
+        if result is not None:
+            payload, text = result
+            if args.json:
+                print(json.dumps(payload, indent=2 if args.pretty else None))
+            else:
+                print(text)
+        return 0
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    try:
-        return args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KeyError as exc:
         print(f"error: missing field {exc} in input", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

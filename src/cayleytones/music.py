@@ -61,8 +61,12 @@ class MusicalSystem:
             )
         if not self.s > 1:
             raise SystemValidationError("octave", f"octave ratio must exceed 1, got {self.s}")
+        if not math.isfinite(self.s):
+            raise SystemValidationError("octave", f"octave ratio must be finite, got {self.s}")
         if not self.f0 > 0:
             raise SystemValidationError("frequency", f"base frequency must be positive, got {self.f0}")
+        if not math.isfinite(self.f0):
+            raise SystemValidationError("frequency", f"base frequency must be finite, got {self.f0}")
 
     @property
     def ring(self) -> ModRing:

@@ -23,6 +23,7 @@ from cayleytones.audio import (
 from cayleytones.music import system_from_factors
 
 Z12 = system_from_factors(4, 3)
+INF, NAN = float("inf"), float("nan")
 
 
 def test_pure_tone_sample_count_and_range():
@@ -53,6 +54,9 @@ def test_tone_spec_validation():
         ToneSpec(0.0, 1.0)
     with pytest.raises(ValueError):
         ToneSpec(440.0, 0.0)
+    for frequency, duration in ((INF, 1.0), (NAN, 1.0), (440.0, INF)):
+        with pytest.raises(ValueError):
+            ToneSpec(frequency, duration)
 
 
 def test_note_frequency_ratio():
@@ -112,6 +116,9 @@ def test_envelope_validation():
         Envelope(attack=-0.1)
     with pytest.raises(ValueError):
         Envelope(sustain_level=1.5)
+    for field in ("attack", "decay", "sustain_level", "release"):
+        with pytest.raises(ValueError):
+            Envelope(**{field: NAN})
 
 
 def test_envelope_from_dict():
@@ -169,6 +176,8 @@ def test_render_event_validation():
         RenderEvent("gong", 0.5, ((0, 0),))
     with pytest.raises(ValueError):
         RenderEvent("note", -1.0, ((0, 0),))
+    with pytest.raises(ValueError):
+        RenderEvent("rest", INF)
 
 
 def test_render_concatenates_events():
@@ -253,3 +262,11 @@ def test_quantization_clips_extremes(tmp_path):
     assert abs(back.samples[0] - 1.0) < 2.0 / 32768
     assert abs(back.samples[1] + 1.0) < 2.0 / 32768
     assert back.samples[2] == 0.0
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_write_wav_rejects_non_finite_samples(tmp_path, bad):
+    path = tmp_path / "bad.wav"
+    with pytest.raises(ValueError):
+        write_wav(SampleBuffer(np.array([0.0, bad, 0.5])), path)
+    assert not path.exists()

@@ -1,5 +1,7 @@
 """Graph construction, BFS metric, isometry criteria, DOT export."""
 
+from itertools import combinations
+
 import pytest
 
 from cayleytones.cayley import (
@@ -54,6 +56,27 @@ def test_is_generating_examples():
     assert GeneratorSet(ModRing(12), (3, 4)).is_generating()
     assert not GeneratorSet(ModRing(12), (3, 9)).is_generating()
     assert GeneratorSet(ModRing(6), (2, 3)).is_generating()
+
+
+def _reachable_from_zero(n, steps):
+    seen, frontier = {0}, [0]
+    while frontier:
+        v = frontier.pop()
+        for s in steps:
+            for u in ((v + s) % n, (v - s) % n):
+                if u not in seen:
+                    seen.add(u)
+                    frontier.append(u)
+    return seen
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_is_generating_matches_reachability_on_every_subset(n):
+    nonzero = range(1, n)
+    for size in range(len(nonzero) + 1):
+        for steps in combinations(nonzero, size):
+            expected = len(_reachable_from_zero(n, steps)) == n
+            assert GeneratorSet(ModRing(n), steps).is_generating() == expected, steps
 
 
 def test_distance_examples():

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -312,3 +316,153 @@ def test_counterpoint_json_bytes_are_pinned(capsys, argv, digest):
     code, out, err = run(capsys, "counterpoint", "search", *argv, "--json")
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+P74 = ("-p", "7", "-q", "4")
+PRETTY_JSON = ("--json", "--pretty")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("validate", *P74), "1cf530154e9bbac7d9fa6ec9e61681ad5dda30cf0798995738dac67873d50dd8"),
+        (
+            ("validate", *P74, *PRETTY_JSON),
+            "755d1db6128b6417eead8ecaed218401758a909e2fe42decb799f569ee7f96fb",
+        ),
+        (
+            ("distance", *P74, "0", "5"),
+            "7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d",
+        ),
+        (
+            ("distance", *P74, "0", "5", *PRETTY_JSON),
+            "aa234f9d6ead0b569736561e85ad228b00dcc5c4335b23b4be98ecb36e88a61f",
+        ),
+        (
+            ("distance", *P74, "0", "5", "--oriented"),
+            "06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7",
+        ),
+        (
+            ("distance", *P74, "0", "5", "--oriented", *PRETTY_JSON),
+            "2692667758ba2f238fad22ddcc240a0ffb2117f75e1486eff7bdf3fcc2a89ad4",
+        ),
+        (("chords", *P74), "818c0343f5d425c57453611938543bddff22a37c0b935f4ce67b1fc3ca1d51f9"),
+        (
+            ("chords", *P74, *PRETTY_JSON),
+            "c27e91710cad6ae3df293bc4f9f1e22538d981f75572b33473784bc7f3e6ba5e",
+        ),
+        (
+            ("chords", *P74, "--quality", "minor", "--root", "2"),
+            "d9ddf6f1660af8b91773b7d2170d48676605614d5cb764e8f655843ec62bd2d3",
+        ),
+        (
+            ("chords", *P74, "--quality", "minor", "--root", "2", *PRETTY_JSON),
+            "c85378a39e4d8235cbf65c35ef1d8681a3503eec2091e2802bb6192515aafc72",
+        ),
+        (
+            ("scale", *P74, "--quality", "major"),
+            "2ee007a32883f2b9922010e310d4b9b5b8ecb0467b03c2dd547b5e8236edc8a1",
+        ),
+        (
+            ("scale", *P74, "--quality", "major", *PRETTY_JSON),
+            "7c09ee315632d39fb845fed2b58ab07e3f77f5a36bc7ced526f762269d537f30",
+        ),
+        (("circle", *P74), "037a850f00974aa60354506ba69b53fed0531cfc8364741af1bf3e40ea0f5b00"),
+        (
+            ("circle", *P74, *PRETTY_JSON),
+            "c1653b43ac5c0c595e3e360ed3e0f2bbee002ebb7c90f21ed3178d80993e5fbc",
+        ),
+        (("intervals",), "1406e2a7de46290250a0d4c94cc80bbea84e5b4d5ebb6903858e78e789206417"),
+        (
+            ("intervals", *PRETTY_JSON),
+            "11a735c7eea56f4b0d184e35a844e8e87ede0ba5c46c91625ed3f0cc47c69c04",
+        ),
+        # --pretty without --json prints the report table
+        (
+            ("counterpoint", "search", "--weak", "-p", "4", "-q", "3", "--pretty"),
+            "5b3405073708b43d7ae03b8f154b2292fb7ae74aed900ef57d24992270ca0e9e",
+        ),
+        (
+            ("counterpoint", "search", "--refine", "-p", "4", "-q", "3", "--pretty"),
+            "0d81958ca200691b38f5ac6658e3874bb8713139ba53c1fe5207d56e5c2edfec",
+        ),
+    ],
+)
+def test_output_bytes_are_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _note_plan(**overrides):
+    plan = {
+        "system": {"p": 4, "q": 3},
+        "events": [{"kind": "note", "duration": 0.1, "notes": [0]}],
+    }
+    plan.update(overrides)
+    return plan
+
+
+@pytest.mark.parametrize(
+    "plan_text",
+    [
+        # malformed shapes
+        "[1, 2]",
+        json.dumps(_note_plan(events=5)),
+        json.dumps(_note_plan(events=[5])),
+        json.dumps(_note_plan(system=[4, 3])),
+        json.dumps(_note_plan(envelope=[0.1])),
+        json.dumps(_note_plan(events=[{"kind": "note", "duration": 0.1, "notes": 0}])),
+        '{"system": {"p": 4, "q": 3}, '
+        '"events": [{"kind": "note", "duration": "inf", "notes": [0]}]}',
+        # non-finite values
+        '{"system": {"p": 4, "q": 3, "f0": 1e309}, '
+        '"events": [{"kind": "note", "duration": 0.1, "notes": [0]}]}',
+        json.dumps(_note_plan(system={"p": 4, "q": 3, "s": "inf"})),
+        json.dumps(_note_plan(modulation_depth="nan")),
+        json.dumps(_note_plan(envelope={"attack": "nan"})),
+        json.dumps(
+            _note_plan(events=[{"kind": "note", "duration": 0.1,
+                                "notes": [{"note": 0, "octave": 100000}]}])
+        ),
+    ],
+)
+def test_render_rejects_malformed_or_non_finite_plans(capsys, tmp_path, plan_text):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(plan_text)
+    out_path = tmp_path / "x.wav"
+    code, out, err = run(
+        capsys, "render", "--plan", str(plan_path), "--out", str(out_path)
+    )
+    assert code == 2
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("-s", "inf"), ("-s", "nan"), ("--f0", "inf")])
+def test_validate_rejects_non_finite_system(capsys, flag, value):
+    code, out, err = run(capsys, "validate", "-p", "4", "-q", "3", flag, value)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_render_into_missing_directory_is_one_line(tmp_path):
+    # A subprocess, because the stray traceback this guards against came
+    # from a destructor, past what capsys captures.
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(_note_plan()))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "cayleytones.cli", "render",
+            "--plan", str(plan_path), "--out", str(tmp_path / "no" / "x.wav"),
+        ],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
