@@ -1,7 +1,7 @@
 """Step graphs on Z_n and the path-length metric they induce."""
 
 from cayleytones import (
-    Automorphism,
+    AffineMap,
     CayleyGraph,
     export_dot,
     is_isometry_bruteforce,
@@ -25,7 +25,7 @@ for target in (7, 9, 11, 1, 5):
 
 # which multiplications preserve all distances? exactly the h with h*S = S
 for h in units(system.ring):
-    f = Automorphism(system.ring, h)
+    f = AffineMap(system.ring, h, 0)
     fast = is_isometry_by_generators(f, gens)
     slow = is_isometry_bruteforce(graph, f)
     assert fast == slow

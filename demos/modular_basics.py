@@ -1,8 +1,7 @@
-"""Arithmetic in Z_n: rings, units, automorphisms, affine maps."""
+"""Arithmetic in Z_n: rings, units, affine maps (automorphisms have offset 0)."""
 
 from cayleytones import (
     AffineMap,
-    Automorphism,
     ModRing,
     compose,
     fixed_points,
@@ -16,9 +15,9 @@ print("9 + 8 =", ring.element(9) + 8)
 print("-3 =", -ring.element(3))
 print("units of Z_12:", units(ring))
 
-# every unit h gives the automorphism x -> h*x
+# every unit h gives the automorphism x -> h*x, the affine map with offset 0
 for h in units(ring):
-    f = Automorphism(ring, h)
+    f = AffineMap(ring, h, 0)
     print(f"{f}: 0..11 ->", [f(x) for x in range(12)])
 
 T = AffineMap(ring, 5, 2)

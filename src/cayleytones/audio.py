@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import wave
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -213,13 +213,13 @@ class RenderPlan:
     def from_dict(cls, data: dict) -> "RenderPlan":
         _expect(data, dict, "a render plan")
         sysdata = _expect(data["system"], dict, "system")
-        p, q = int(sysdata["p"]), int(sysdata["q"])
+        p, q = _integer(sysdata["p"], "p"), _integer(sysdata["q"], "q")
         system = validate_system(
-            int(sysdata.get("n", p * q)),
+            _integer(sysdata.get("n", p * q), "n"),
             p,
             q,
-            float(sysdata.get("s", 2.0)),
-            float(sysdata.get("f0", 440.0)),
+            _real(sysdata.get("s", 2.0), "s"),
+            _real(sysdata.get("f0", 440.0), "f0"),
         )
         events = []
         for entry in _expect(data["events"], list, "events"):
@@ -227,10 +227,12 @@ class RenderPlan:
             notes = []
             for item in _expect(entry.get("notes", []), list, "notes"):
                 if isinstance(item, dict):
-                    notes.append((int(item["note"]), int(item.get("octave", 0))))
+                    note, octave = item["note"], item.get("octave", 0)
                 else:
-                    notes.append((int(item), 0))
-            events.append(RenderEvent(kind, float(entry["duration"]), tuple(notes)))
+                    note, octave = item, 0
+                notes.append((_integer(note, "note"), _integer(octave, "octave")))
+            duration = _real(entry["duration"], "duration")
+            events.append(RenderEvent(kind, duration, tuple(notes)))
         return cls(system, tuple(events))
 
 
@@ -242,16 +244,28 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _integer(value, what: str) -> int:
+    """value itself if it is a JSON integer, not a float or a boolean."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _real(value, what: str) -> float:
+    """float(value); null, lists and objects are refused in one line."""
+    try:
+        return float(value)
+    except TypeError:
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
+
+
 def envelope_from_dict(data: Optional[dict]) -> Optional[Envelope]:
     """Envelope from a plan file's optional 'envelope' object."""
     if data is None:
         return None
     _expect(data, dict, "envelope")
     return Envelope(
-        float(data.get("attack", 0.02)),
-        float(data.get("decay", 0.05)),
-        float(data.get("sustain_level", 0.8)),
-        float(data.get("release", 0.05)),
+        *(_real(data.get(f.name, f.default), f.name) for f in fields(Envelope))
     )
 
 
@@ -261,22 +275,31 @@ def render(
     modulation_depth: float = 0.0,
     sample_rate: int = SAMPLE_RATE,
 ) -> SampleBuffer:
-    """Concatenate per-event buffers; rests render as silence."""
+    """Concatenate per-event buffers; rests render as silence.
+
+    Every event must last at least one sample, and every note must sound
+    below the Nyquist frequency sample_rate / 2, where it would alias.
+    """
     pieces = []
     for event in plan.events:
+        count = round(sample_rate * event.duration)
+        if count == 0:
+            raise ValueError(
+                f"a {event.duration} s event is shorter than one sample "
+                f"at {sample_rate} Hz"
+            )
         if event.kind == "rest":
-            count = round(sample_rate * event.duration)
             pieces.append(np.zeros(count, dtype=np.float64))
             continue
-        voices = [
-            shape_note(
-                ToneSpec(note_frequency(plan.system, note, octave), event.duration),
-                envelope,
-                modulation_depth,
-                sample_rate,
-            )
-            for note, octave in event.notes
-        ]
+        voices = []
+        for note, octave in event.notes:
+            spec = ToneSpec(note_frequency(plan.system, note, octave), event.duration)
+            if spec.frequency >= sample_rate / 2:
+                raise ValueError(
+                    f"note {note} at octave {octave} sounds at {spec.frequency} Hz, "
+                    f"not below the Nyquist frequency {sample_rate / 2} Hz"
+                )
+            voices.append(shape_note(spec, envelope, modulation_depth, sample_rate))
         pieces.append(mix_chord(voices).samples)
     return SampleBuffer(np.concatenate(pieces), sample_rate)
 

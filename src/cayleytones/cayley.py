@@ -7,7 +7,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
-from .modular import Automorphism, ModElement, ModRing
+from .modular import AffineMap, ModElement, ModRing
 
 # All-pairs distance tables stay small up to this modulus; far beyond musical use.
 MAX_MODULUS = 4096
@@ -41,7 +41,7 @@ class GeneratorSet:
         return all((self.ring.n - s) % self.ring.n in members for s in members)
 
     def symmetrized(self) -> "GeneratorSet":
-        """This set joined with the negation of each element."""
+        """This set joined with the inverse -s of each element s."""
         n = self.ring.n
         extra = [(n - s) % n for s in self.elements]
         return GeneratorSet(self.ring, self.elements + tuple(extra))
@@ -210,14 +210,15 @@ def is_isometry_bruteforce(G: CayleyGraph, f) -> bool:
     return True
 
 
-def is_isometry_by_generators(f: Automorphism, S: GeneratorSet) -> bool:
-    """Isometry test via the criterion f(S) = S.
+def is_isometry_by_generators(f: AffineMap, S: GeneratorSet) -> bool:
+    """Isometry test via the criterion hS = S on the multiplier h of f.
 
     Valid only for symmetric generating sets, which is exactly when the
-    criterion is equivalent to preserving the graph metric.
+    criterion is equivalent to preserving the graph metric. The offset
+    plays no part: a translation preserves every distance.
     """
     if f.ring != S.ring:
-        raise ValueError("automorphism and generator set use different moduli")
+        raise ValueError("map and generator set use different moduli")
     if not S.is_symmetric:
         raise GeneratorSetError("criterion requires a symmetric generator set")
     if not S.is_generating():

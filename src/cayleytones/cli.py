@@ -192,7 +192,11 @@ def _cmd_render(args: argparse.Namespace) -> _Output:
         data = json.load(handle)
     plan = RenderPlan.from_dict(data)
     envelope = envelope_from_dict(data.get("envelope"))
-    depth = float(data.get("modulation_depth", 0.0))
+    depth = data.get("modulation_depth", 0.0)
+    try:
+        depth = float(depth)
+    except TypeError:
+        raise CliError(f"modulation_depth must be a number, got {depth!r}") from None
     if not math.isfinite(depth):
         raise CliError(f"modulation_depth must be finite, got {depth}")
     buffer = render(plan, envelope, depth)

@@ -7,12 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional
 
-from .cayley import (
-    CayleyGraph,
-    GeneratorSet,
-    GeneratorSetError,
-    is_isometry_by_generators,
-)
+from .cayley import CayleyGraph, GeneratorSet, is_isometry_by_generators
 from .modular import AffineMap, ModRing, fixed_points, is_involution, units
 
 
@@ -109,10 +104,14 @@ def _metric_generators(G: CayleyGraph) -> GeneratorSet:
     return GeneratorSet(G.ring, G.steps)
 
 
-def _is_affine_isometry(T: AffineMap, S: GeneratorSet) -> bool:
-    # A translate of an automorphism preserves the metric exactly when
-    # the automorphism part does, so only the multiplier matters.
-    return is_isometry_by_generators(T.automorphism, S)
+def _check_graph_of_seed(seed: ConsonantSeed, G: CayleyGraph) -> None:
+    # The searches build one table from the seed's steps, so they must
+    # also be the steps of the metric they are checked against.
+    if _metric_generators(G) != seed.generators:
+        raise ValueError(
+            f"graph steps {list(G.steps)} differ from the seed generators "
+            f"{list(seed.generators.elements)}"
+        )
 
 
 def satisfies_strong(T: AffineMap, dichotomy: Dichotomy, G: CayleyGraph) -> bool:
@@ -122,7 +121,7 @@ def satisfies_strong(T: AffineMap, dichotomy: Dichotomy, G: CayleyGraph) -> bool
         raise ValueError("strong condition needs a full partition of Z_n")
     if not is_involution(T):
         return False
-    if not _is_affine_isometry(T, S):
+    if not is_isometry_by_generators(T, S):
         return False
     return {T(x) for x in dichotomy.consonant} == set(dichotomy.dissonant)
 
@@ -133,7 +132,7 @@ def satisfies_weak(T: AffineMap, seed: ConsonantSeed, G: CayleyGraph) -> bool:
     S = _metric_generators(G)
     if not is_involution(T):
         return False
-    if not _is_affine_isometry(T, S):
+    if not is_isometry_by_generators(T, S):
         return False
     members = seed.members
     return not ({T(x) for x in members} & members)
@@ -197,16 +196,12 @@ def _involutive_isometries(S: GeneratorSet) -> list[AffineMap]:
     These are the involutive affine isometries of the step graph; every
     search filters this one table.
     """
-    if not S.is_symmetric:
-        raise GeneratorSetError("criterion requires a symmetric generator set")
-    if not S.is_generating():
-        raise GeneratorSetError("criterion requires a generating set")
     ring, n = S.ring, S.ring.n
-    steps = frozenset(S.elements)
     return [
         AffineMap(ring, h, w)
         for h in units(ring)
-        if (h * h) % n == 1 and frozenset((h * s) % n for s in steps) == steps
+        if (h * h) % n == 1
+        and is_isometry_by_generators(AffineMap(ring, h, 0), S)
         for w in range(n)
         if ((h + 1) * w) % n == 0
     ]
@@ -234,7 +229,6 @@ def find_affine_for_partition(
 
 def strong_search_report(dichotomy: Dichotomy, G: CayleyGraph) -> SearchReport:
     """Full-scan report of the strong witnesses for one partition."""
-    S = _metric_generators(G)
     witnesses = find_affine_for_partition(dichotomy, G)
     n = G.ring.n
     records = []
@@ -254,7 +248,7 @@ def strong_search_report(dichotomy: Dichotomy, G: CayleyGraph) -> SearchReport:
     )
     return SearchReport(
         n,
-        S.elements,
+        G.steps,
         len(units(G.ring)) * n,
         tuple(witnesses),
         tuple(records),
@@ -320,13 +314,15 @@ def extend_to_partitions(seed: ConsonantSeed, G: CayleyGraph) -> SearchReport:
     """Grow the seed to full half/half partitions under each weak witness.
 
     Every returned partition is re-verified by counting its strong
-    witnesses over the full affine scan rather than trusting the search.
+    witnesses among all weak witnesses rather than trusting the search;
+    a strong witness of K, which holds the seed, is always a weak one.
     """
     n = seed.ring.n
     if n % 2 == 1:
         raise NoStrongDichotomyError(
             f"n={n} is odd: halves of equal size cannot partition Z_n"
         )
+    _check_graph_of_seed(seed, G)
     weak_report = enumerate_weak_witnesses(n, seed.generators.elements)
     members = seed.members
     needed = n // 2 - len(members)
@@ -339,13 +335,11 @@ def extend_to_partitions(seed: ConsonantSeed, G: CayleyGraph) -> SearchReport:
             subsets_examined += 1
             found.setdefault(K, []).append(T)
     # A strong witness of K sends the seed inside K onto D, off the seed.
-    table = _involutive_isometries(_metric_generators(G))
-    candidates = _weak_witnesses(table, members)
     universe = frozenset(range(n))
     records = []
     for K, producers in found.items():
         D = universe - K
-        strong = [T for T in candidates if _image(T, K) == D]
+        strong = [T for T in weak_report.witnesses if _image(T, K) == D]
         best = min(strong or producers, key=AffineMap.sort_key)
         records.append(
             PartitionRecord(
@@ -379,13 +373,13 @@ def maximal_consonant_extension(
     Fixed points of T can never join, so for odd n the consonances stop
     at (n-1)/2 elements.
     """
-    if not satisfies_weak(T, seed, G):
+    _check_graph_of_seed(seed, G)
+    members = seed.members
+    candidates = _weak_witnesses(_involutive_isometries(seed.generators), members)
+    if T not in candidates:
         raise ValueError("the supplied map does not satisfy the weak condition")
     n = seed.ring.n
-    members = seed.members
     pairs = _orbit_pairs(T, members)
-    table = _involutive_isometries(_metric_generators(G))
-    candidates = _weak_witnesses(table, members)
     records = []
     for K in _choices(members, pairs, len(pairs)):
         D = _image(T, K)

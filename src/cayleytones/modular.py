@@ -1,4 +1,4 @@
-"""Arithmetic in Z_n: residues, units, automorphisms, and affine maps."""
+"""Arithmetic in Z_n: residues, units, and affine maps."""
 
 from __future__ import annotations
 
@@ -99,45 +99,11 @@ def units(ring: ModRing) -> list[int]:
 
 
 @dataclass(frozen=True)
-class Automorphism:
-    """The group automorphism x -> multiplier * x, multiplier in U(n)."""
-
-    ring: ModRing
-    multiplier: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "multiplier", self.multiplier % self.ring.n)
-        if math.gcd(self.multiplier, self.ring.n) != 1:
-            raise ValueError(
-                f"multiplier {self.multiplier} is not a unit mod {self.ring.n}"
-            )
-
-    def __call__(self, x: Union[ModElement, int]):
-        if isinstance(x, ModElement):
-            _require_same_ring(self.ring, x.ring)
-            return ModElement(self.ring, self.multiplier * x.value)
-        return (self.multiplier * x) % self.ring.n
-
-    def as_affine(self) -> "AffineMap":
-        return AffineMap(self.ring, self.multiplier, 0)
-
-    def __repr__(self) -> str:
-        return f"{self.multiplier}x (mod {self.ring.n})"
-
-
-def automorphisms(ring: ModRing) -> list[Automorphism]:
-    """One automorphism x -> h*x per unit h, ordered by multiplier."""
-    return [Automorphism(ring, h) for h in units(ring)]
-
-
-def negation(ring: ModRing) -> Automorphism:
-    """The reflection x -> -x, written as the multiplier n - 1."""
-    return Automorphism(ring, ring.n - 1)
-
-
-@dataclass(frozen=True)
 class AffineMap:
-    """The bijection x -> (multiplier * x + offset) mod n, multiplier a unit."""
+    """The bijection x -> (multiplier * x + offset) mod n, multiplier a unit.
+
+    The group automorphism x -> h*x is AffineMap(ring, h, 0).
+    """
 
     ring: ModRing
     multiplier: int
@@ -154,10 +120,6 @@ class AffineMap:
     @classmethod
     def identity(cls, ring: ModRing) -> "AffineMap":
         return cls(ring, 1, 0)
-
-    @property
-    def automorphism(self) -> Automorphism:
-        return Automorphism(self.ring, self.multiplier)
 
     def __call__(self, x: Union[ModElement, int]):
         if isinstance(x, ModElement):

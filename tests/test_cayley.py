@@ -14,7 +14,7 @@ from cayleytones.cayley import (
     is_isometry_bruteforce,
     is_isometry_by_generators,
 )
-from cayleytones.modular import Automorphism, ModRing, units
+from cayleytones.modular import AffineMap, ModRing, units
 
 # Every coprime factor pair p > q > 1 for the moduli under test.
 SYSTEMS = [
@@ -134,14 +134,14 @@ def test_generator_criterion_matches_bruteforce(n, factors):
     G = CayleyGraph(S, oriented=False)
     ring = ModRing(n)
     for h in units(ring):
-        f = Automorphism(ring, h)
+        f = AffineMap(ring, h, 0)
         assert is_isometry_by_generators(f, S) == is_isometry_bruteforce(G, f)
 
 
 def test_three_times_is_not_an_isometry_mod_ten():
     S = _symmetric_set(10, 5, 2)
     G = CayleyGraph(S, oriented=False)
-    f = Automorphism(ModRing(10), 3)
+    f = AffineMap(ModRing(10), 3, 0)
     assert not is_isometry_by_generators(f, S)
     assert not is_isometry_bruteforce(G, f)
 
@@ -149,9 +149,9 @@ def test_three_times_is_not_an_isometry_mod_ten():
 def test_generator_criterion_requires_symmetric_generating_set():
     ring = ModRing(12)
     with pytest.raises(GeneratorSetError):
-        is_isometry_by_generators(Automorphism(ring, 5), GeneratorSet(ring, (3, 4)))
+        is_isometry_by_generators(AffineMap(ring, 5, 0), GeneratorSet(ring, (3, 4)))
     with pytest.raises(GeneratorSetError):
-        is_isometry_by_generators(Automorphism(ring, 5), GeneratorSet(ring, (3, 9)))
+        is_isometry_by_generators(AffineMap(ring, 5, 0), GeneratorSet(ring, (3, 9)))
 
 
 @pytest.mark.parametrize("n,factors", [s for s in SYSTEMS if s[0] <= 15])
@@ -162,7 +162,7 @@ def test_offset_of_isometry_stays_isometry(n, factors):
     G = CayleyGraph(S, oriented=False)
     ring = ModRing(n)
     for h in units(ring):
-        f = Automorphism(ring, h)
+        f = AffineMap(ring, h, 0)
         if not is_isometry_by_generators(f, S):
             continue
         for w in range(n):

@@ -425,6 +425,21 @@ def _note_plan(**overrides):
             _note_plan(events=[{"kind": "note", "duration": 0.1,
                                 "notes": [{"note": 0, "octave": 100000}]}])
         ),
+        # null numbers, and integer fields that are not JSON integers
+        json.dumps(_note_plan(events=[{"kind": "note", "duration": None, "notes": [0]}])),
+        json.dumps(
+            _note_plan(events=[{"kind": "note", "duration": 0.1,
+                                "notes": [{"note": 0, "octave": None}]}])
+        ),
+        json.dumps(_note_plan(system={"p": None, "q": 3})),
+        json.dumps(_note_plan(envelope={"attack": None})),
+        json.dumps(_note_plan(modulation_depth=None)),
+        json.dumps(_note_plan(events=[{"kind": "note", "duration": 0.1, "notes": [[0]]}])),
+        json.dumps(_note_plan(events=[{"kind": "note", "duration": 0.1, "notes": [1.7]}])),
+        json.dumps(_note_plan(system={"p": 4.9, "q": 3})),
+        # an event under one sample, and a note above the Nyquist frequency
+        json.dumps(_note_plan(events=[{"kind": "note", "duration": 1e-5, "notes": [0]}])),
+        json.dumps(_note_plan(system={"p": 4, "q": 3, "f0": 30000})),
     ],
 )
 def test_render_rejects_malformed_or_non_finite_plans(capsys, tmp_path, plan_text):

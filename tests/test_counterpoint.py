@@ -254,6 +254,17 @@ def test_maximal_extension_requires_weak_witness():
         maximal_consonant_extension(SEED15, AffineMap(ModRing(15), 1, 0), G15)
 
 
+def test_seed_searches_reject_a_graph_with_other_steps():
+    """A graph whose steps are not the seed's would be searched with the
+    seed's isometries and checked against another metric."""
+    semitones = CayleyGraph(GeneratorSet(RING12, (1, 11)), oriented=False)
+    with pytest.raises(ValueError):
+        extend_to_partitions(SEED12, semitones)
+    T = enumerate_weak_witnesses(12, SEED12.generators.elements).witnesses[0]
+    with pytest.raises(ValueError):
+        maximal_consonant_extension(SEED12, T, semitones)
+
+
 def test_refinement_returns_classical_partition():
     report = extend_to_partitions(SEED12, G12)
     oriented = CayleyGraph(S12.generator_set, oriented=True)
