@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
 import wave
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -101,12 +102,16 @@ class Envelope:
         if not 0 <= self.sustain_level <= 1:
             raise ValueError("sustain level must lie in [0, 1]")
 
-    def amplitudes(self, t: np.ndarray, duration: float) -> np.ndarray:
+    def check_fits(self, duration: float) -> None:
+        """Raise InvalidEnvelopeError if the segments outlast the note."""
         if self.attack + self.decay + self.release > duration:
             raise InvalidEnvelopeError(
                 f"envelope spans {self.attack + self.decay + self.release}s "
                 f"but the note lasts {duration}s"
             )
+
+    def amplitudes(self, t: np.ndarray, duration: float) -> np.ndarray:
+        self.check_fits(duration)
         g = np.full(len(t), self.sustain_level, dtype=np.float64)
         if self.attack > 0:
             m = t < self.attack
@@ -132,7 +137,9 @@ def shape_note(
     """
     t = _sample_times(spec.duration, sample_rate)
     phase = 2.0 * np.pi * spec.frequency
-    samples = np.sin(phase * (t + modulation_depth * np.sin(phase * t)))
+    # t + 0 * sin(...) is t, so a zero depth skips the inner sin bit-exactly.
+    warped = t + modulation_depth * np.sin(phase * t) if modulation_depth else t
+    samples = np.sin(phase * warped)
     if envelope is not None:
         samples = envelope.amplitudes(t, spec.duration) * samples
     return SampleBuffer(samples, sample_rate)
@@ -269,6 +276,47 @@ def envelope_from_dict(data: Optional[dict]) -> Optional[Envelope]:
     )
 
 
+def _render_events(
+    plan: RenderPlan,
+    envelope: Optional[Envelope],
+    modulation_depth: float,
+    sample_rate: int,
+) -> Iterator[np.ndarray]:
+    """Each event's samples in plan order, made one event at a time.
+
+    The whole plan is checked before this returns, so a bad event anywhere
+    raises before any audio is made, and the first bad one in plan order.
+    """
+    events = []
+    for event in plan.events:
+        count = round(sample_rate * event.duration)
+        if count == 0:
+            raise ValueError(
+                f"a {event.duration} s event is shorter than one sample "
+                f"at {sample_rate} Hz"
+            )
+        specs = []
+        for note, octave in event.notes:
+            spec = ToneSpec(note_frequency(plan.system, note, octave), event.duration)
+            if spec.frequency >= sample_rate / 2:
+                raise ValueError(
+                    f"note {note} at octave {octave} sounds at {spec.frequency} Hz, "
+                    f"not below the Nyquist frequency {sample_rate / 2} Hz"
+                )
+            if envelope is not None:
+                envelope.check_fits(event.duration)
+            specs.append(spec)
+        events.append((count, specs))
+    return (
+        mix_chord(
+            [shape_note(spec, envelope, modulation_depth, sample_rate) for spec in specs]
+        ).samples
+        if specs
+        else np.zeros(count, dtype=np.float64)
+        for count, specs in events
+    )
+
+
 def render(
     plan: RenderPlan,
     envelope: Optional[Envelope] = None,
@@ -277,31 +325,13 @@ def render(
 ) -> SampleBuffer:
     """Concatenate per-event buffers; rests render as silence.
 
-    Every event must last at least one sample, and every note must sound
-    below the Nyquist frequency sample_rate / 2, where it would alias.
+    Every event must last at least one sample, every note must sound
+    below the Nyquist frequency sample_rate / 2, where it would alias, and
+    the envelope must fit every sounding event. All of this is checked
+    before any event is synthesised.
     """
-    pieces = []
-    for event in plan.events:
-        count = round(sample_rate * event.duration)
-        if count == 0:
-            raise ValueError(
-                f"a {event.duration} s event is shorter than one sample "
-                f"at {sample_rate} Hz"
-            )
-        if event.kind == "rest":
-            pieces.append(np.zeros(count, dtype=np.float64))
-            continue
-        voices = []
-        for note, octave in event.notes:
-            spec = ToneSpec(note_frequency(plan.system, note, octave), event.duration)
-            if spec.frequency >= sample_rate / 2:
-                raise ValueError(
-                    f"note {note} at octave {octave} sounds at {spec.frequency} Hz, "
-                    f"not below the Nyquist frequency {sample_rate / 2} Hz"
-                )
-            voices.append(shape_note(spec, envelope, modulation_depth, sample_rate))
-        pieces.append(mix_chord(voices).samples)
-    return SampleBuffer(np.concatenate(pieces), sample_rate)
+    pieces = _render_events(plan, envelope, modulation_depth, sample_rate)
+    return SampleBuffer(np.concatenate(list(pieces)), sample_rate)
 
 
 def _quantize(samples: np.ndarray) -> np.ndarray:
@@ -311,18 +341,41 @@ def _quantize(samples: np.ndarray) -> np.ndarray:
     return np.clip(rounded, -32768, 32767).astype("<i2")
 
 
-def write_wav(buffer: SampleBuffer, path) -> None:
-    """16-bit signed little-endian PCM, mono, standard RIFF header."""
-    if not np.isfinite(buffer.samples).all():
-        raise ValueError("cannot write non-finite samples (NaN or inf) to a WAV file")
-    data = _quantize(buffer.samples).tobytes()
+def _write_pieces(pieces: Iterable[np.ndarray], sample_rate: int, path) -> int:
+    """Write the pieces in order as one WAV file; return its frame count.
+
+    Each piece is checked and quantized as it arrives, so only one is held
+    at a time. If anything fails once the file is open, including a piece
+    that is not finite, the partial file is removed and the error re-raised.
+    """
+    frames = 0
     # Opening the file first keeps a bad path to the one OSError: given a
     # path it cannot open, wave.open also prints a traceback on cleanup.
-    with open(path, "wb") as raw, wave.open(raw, "wb") as handle:
-        handle.setnchannels(1)
-        handle.setsampwidth(2)
-        handle.setframerate(buffer.sample_rate)
-        handle.writeframes(data)
+    with open(path, "wb") as raw:
+        try:
+            with wave.open(raw, "wb") as handle:
+                handle.setnchannels(1)
+                handle.setsampwidth(2)
+                handle.setframerate(sample_rate)
+                for piece in pieces:
+                    if not np.isfinite(piece).all():
+                        raise ValueError(
+                            "cannot write non-finite samples (NaN or inf) to a WAV file"
+                        )
+                    handle.writeframesraw(_quantize(piece).tobytes())
+                    frames += len(piece)
+        except BaseException:
+            raw.close()
+            # A device such as /dev/null is not a partial file to remove.
+            if os.path.isfile(path):
+                os.remove(path)
+            raise
+    return frames
+
+
+def write_wav(buffer: SampleBuffer, path) -> None:
+    """16-bit signed little-endian PCM, mono, standard RIFF header."""
+    _write_pieces([buffer.samples], buffer.sample_rate, path)
 
 
 def read_wav(path) -> SampleBuffer:

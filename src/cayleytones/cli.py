@@ -8,7 +8,13 @@ import math
 import sys
 from typing import Optional
 
-from .audio import RenderPlan, envelope_from_dict, render, write_wav
+from .audio import (
+    SAMPLE_RATE,
+    RenderPlan,
+    _render_events,
+    _write_pieces,
+    envelope_from_dict,
+)
 from .cayley import CayleyGraph, export_dot
 from .counterpoint import (
     ConsonantSeed,
@@ -163,13 +169,9 @@ def _search(args: argparse.Namespace, system: MusicalSystem):
     if args.mode == "maximal":
         if (args.multiplier is None) != (args.offset is None):
             raise CliError("--maximal takes both --multiplier and --offset")
+        witness = None
         if args.multiplier is not None:
             witness = AffineMap(system.ring, args.multiplier, args.offset)
-        else:
-            weak = enumerate_weak_witnesses(system.n, seed.generators.elements)
-            if not weak.witnesses:
-                raise CliError(f"Z_{system.n} admits no weak witness to extend")
-            witness = weak.witnesses[0]
         return maximal_consonant_extension(seed, witness, graph)
     report = extend_to_partitions(seed, graph)
     if args.mode == "refine":
@@ -199,12 +201,12 @@ def _cmd_render(args: argparse.Namespace) -> _Output:
         raise CliError(f"modulation_depth must be a number, got {depth!r}") from None
     if not math.isfinite(depth):
         raise CliError(f"modulation_depth must be finite, got {depth}")
-    buffer = render(plan, envelope, depth)
-    write_wav(buffer, args.out)
-    payload = {"out": args.out, "samples": len(buffer), "sample_rate": buffer.sample_rate}
-    return payload, (
-        f"wrote {args.out}: {len(buffer)} samples at {buffer.sample_rate} Hz"
-    )
+    # Every plan check runs here, before the output file is opened; events
+    # are then synthesised and written one at a time.
+    pieces = _render_events(plan, envelope, depth, SAMPLE_RATE)
+    samples = _write_pieces(pieces, SAMPLE_RATE, args.out)
+    payload = {"out": args.out, "samples": samples, "sample_rate": SAMPLE_RATE}
+    return payload, f"wrote {args.out}: {samples} samples at {SAMPLE_RATE} Hz"
 
 
 def _cmd_intervals(args: argparse.Namespace) -> _Output:

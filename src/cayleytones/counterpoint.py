@@ -366,19 +366,23 @@ def extend_to_partitions(seed: ConsonantSeed, G: CayleyGraph) -> SearchReport:
 
 
 def maximal_consonant_extension(
-    seed: ConsonantSeed, T: AffineMap, G: CayleyGraph
+    seed: ConsonantSeed, T: Optional[AffineMap], G: CayleyGraph
 ) -> SearchReport:
     """All maximal supersets of the seed kept disjoint from their T-image.
 
-    Fixed points of T can never join, so for odd n the consonances stop
-    at (n-1)/2 elements.
+    T = None takes the first weak witness by (h, w). Fixed points of T can
+    never join, so for odd n the consonances stop at (n-1)/2 elements.
     """
     _check_graph_of_seed(seed, G)
     members = seed.members
-    candidates = _weak_witnesses(_involutive_isometries(seed.generators), members)
-    if T not in candidates:
-        raise ValueError("the supplied map does not satisfy the weak condition")
     n = seed.ring.n
+    candidates = _weak_witnesses(_involutive_isometries(seed.generators), members)
+    if T is None:
+        if not candidates:
+            raise ValueError(f"Z_{n} admits no weak witness to extend")
+        T = candidates[0]
+    elif T not in candidates:
+        raise ValueError("the supplied map does not satisfy the weak condition")
     pairs = _orbit_pairs(T, members)
     records = []
     for K in _choices(members, pairs, len(pairs)):

@@ -5,10 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cayleytones import audio, counterpoint
+from cayleytones.audio import Envelope, RenderPlan, SampleBuffer, render, write_wav
 from cayleytones.cayley import CayleyGraph
 from cayleytones.cli import main
 from cayleytones.counterpoint import (
@@ -219,6 +223,23 @@ def test_counterpoint_maximal_needs_both_map_parts(capsys):
     )
     assert code == 2
     assert "--offset" in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--multiplier", "14", "--offset", "1")])
+def test_counterpoint_maximal_builds_one_isometry_table(capsys, monkeypatch, extra):
+    builds = []
+    real = counterpoint._involutive_isometries
+
+    def counted(S):
+        builds.append(S)
+        return real(S)
+
+    monkeypatch.setattr(counterpoint, "_involutive_isometries", counted)
+    code, out, err = run(
+        capsys, "counterpoint", "search", "--maximal", "-p", "5", "-q", "3", *extra
+    )
+    assert (code, err) == (0, "")
+    assert len(builds) == 1
 
 
 def test_counterpoint_refine_json(capsys):
@@ -481,3 +502,113 @@ def test_render_into_missing_directory_is_one_line(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
+
+
+# Notes, chords of three and four voices, a rest, an envelope and FM.
+STREAM_PLAN = {
+    "system": {"p": 4, "q": 3},
+    "events": [
+        {"kind": "note", "duration": 0.25, "notes": [0]},
+        {"kind": "chord", "duration": 0.5, "notes": [0, 4, {"note": 7, "octave": 1}]},
+        {"kind": "rest", "duration": 0.125},
+        {"kind": "chord", "duration": 0.375,
+         "notes": [2, 5, 9, {"note": 0, "octave": -1}]},
+        {"kind": "note", "duration": 0.2, "notes": [{"note": 11, "octave": 1}]},
+    ],
+    "envelope": {"attack": 0.01, "decay": 0.05, "sustain_level": 0.7, "release": 0.05},
+    "modulation_depth": 0.001,
+}
+
+
+def _render_cli(capsys, tmp_path, plan, name="out.wav"):
+    plan_path = tmp_path / f"{name}.json"
+    plan_path.write_text(json.dumps(plan))
+    out_path = tmp_path / name
+    code, out, err = run(
+        capsys, "render", "--plan", str(plan_path), "--out", str(out_path), "--json"
+    )
+    return code, out, err, out_path
+
+
+def test_render_streams_the_bytes_of_the_in_memory_path(capsys, tmp_path):
+    code, out, err, out_path = _render_cli(capsys, tmp_path, STREAM_PLAN)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"out": str(out_path), "samples": 63945, "sample_rate": 44100}
+    buffer = render(
+        RenderPlan.from_dict(STREAM_PLAN),
+        Envelope(**STREAM_PLAN["envelope"]),
+        STREAM_PLAN["modulation_depth"],
+    )
+    reference = tmp_path / "reference.wav"
+    write_wav(buffer, reference)
+    data = out_path.read_bytes()
+    assert data == reference.read_bytes()
+    # Recorded before rendering was streamed.
+    assert hashlib.sha256(data).hexdigest() == (
+        "e82051fb90005fc66c06152d0da095b80f1a5eb5136dbf448ee99bdb3862beaf"
+    )
+
+
+def test_render_peak_memory_does_not_grow_with_plan_length(capsys, tmp_path):
+    # tracemalloc sees numpy's buffers, and only this process's allocations.
+    longer = dict(STREAM_PLAN, events=STREAM_PLAN["events"] * 4)
+    peaks = []
+    for name, plan in (("once.wav", STREAM_PLAN), ("four.wav", longer)):
+        tracemalloc.start()
+        try:
+            code, *_ = _render_cli(capsys, tmp_path, plan, name)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+@pytest.mark.parametrize(
+    "bad_event",
+    [
+        {"kind": "note", "duration": 1e-5, "notes": [0]},
+        {"kind": "note", "duration": 0.2, "notes": [{"note": 0, "octave": 6}]},
+        # shorter than the plan's 0.11 s envelope
+        {"kind": "chord", "duration": 0.1, "notes": [0, 4]},
+    ],
+)
+def test_render_checks_the_whole_plan_before_any_synthesis(
+    capsys, tmp_path, monkeypatch, bad_event
+):
+    calls = []
+    real = audio.shape_note
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(audio, "shape_note", counted)
+    plan = dict(STREAM_PLAN, events=[*STREAM_PLAN["events"], bad_event])
+    code, out, err, out_path = _render_cli(capsys, tmp_path, plan)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not out_path.exists()
+    assert calls == []
+
+
+def test_render_removes_the_file_when_a_later_event_is_not_finite(
+    capsys, tmp_path, monkeypatch
+):
+    calls = []
+    real = audio.mix_chord
+
+    def poisoned(buffers):
+        calls.append(buffers)
+        mixed = real(buffers)
+        if len(calls) == 2:
+            return SampleBuffer(np.full(len(mixed), np.nan))
+        return mixed
+
+    monkeypatch.setattr(audio, "mix_chord", poisoned)
+    code, out, err, out_path = _render_cli(capsys, tmp_path, STREAM_PLAN)
+    assert code == 2
+    assert err.startswith("error: cannot write non-finite samples")
+    assert err.count("\n") == 1
+    assert not out_path.exists()
