@@ -82,8 +82,7 @@ def _sample_times(duration: float, sample_rate: int) -> np.ndarray:
 
 def pure_tone(spec: ToneSpec, sample_rate: int = SAMPLE_RATE) -> SampleBuffer:
     """samples[i] = sin(2*pi*f*t_i) with t_i = i / rate."""
-    t = _sample_times(spec.duration, sample_rate)
-    return SampleBuffer(np.sin(2.0 * np.pi * spec.frequency * t), sample_rate)
+    return shape_note(spec, sample_rate=sample_rate)
 
 
 @dataclass(frozen=True)
@@ -136,13 +135,35 @@ def shape_note(
     With no envelope and zero depth this reduces exactly to pure_tone.
     """
     t = _sample_times(spec.duration, sample_rate)
-    phase = 2.0 * np.pi * spec.frequency
+    g = None if envelope is None else envelope.amplitudes(t, spec.duration)
+    voice = np.empty(len(t), dtype=np.float64)
+    _voice(voice, t, g, spec.frequency, modulation_depth)
+    return SampleBuffer(voice, sample_rate)
+
+
+def _voice(
+    out: np.ndarray,
+    t: np.ndarray,
+    g: Optional[np.ndarray],
+    frequency: float,
+    modulation_depth: float,
+) -> None:
+    """Write shape_note's samples into out, in place.
+
+    The steps, in this order, fix every output bit: phase*t, sin, depth*,
+    t+, phase*, sin, then g*.
+    """
+    phase = 2.0 * np.pi * frequency
+    np.multiply(t, phase, out=out)
     # t + 0 * sin(...) is t, so a zero depth skips the inner sin bit-exactly.
-    warped = t + modulation_depth * np.sin(phase * t) if modulation_depth else t
-    samples = np.sin(phase * warped)
-    if envelope is not None:
-        samples = envelope.amplitudes(t, spec.duration) * samples
-    return SampleBuffer(samples, sample_rate)
+    if modulation_depth:
+        np.sin(out, out=out)
+        np.multiply(out, modulation_depth, out=out)
+        np.add(t, out, out=out)
+        np.multiply(out, phase, out=out)
+    np.sin(out, out=out)
+    if g is not None:
+        np.multiply(out, g, out=out)
 
 
 def mix_chord(
@@ -259,11 +280,16 @@ def _integer(value, what: str) -> int:
 
 
 def _real(value, what: str) -> float:
-    """float(value); null, lists and objects are refused in one line."""
+    """float(value) if value is a JSON number; booleans, strings, null, lists
+    and objects are refused in one line."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
-    except TypeError:
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise ValueError(
+            f"{what} must be finite, got an integer past the float range"
+        ) from None
 
 
 def envelope_from_dict(data: Optional[dict]) -> Optional[Envelope]:
@@ -295,7 +321,7 @@ def _render_events(
                 f"a {event.duration} s event is shorter than one sample "
                 f"at {sample_rate} Hz"
             )
-        specs = []
+        frequencies = []
         for note, octave in event.notes:
             spec = ToneSpec(note_frequency(plan.system, note, octave), event.duration)
             if spec.frequency >= sample_rate / 2:
@@ -305,16 +331,42 @@ def _render_events(
                 )
             if envelope is not None:
                 envelope.check_fits(event.duration)
-            specs.append(spec)
-        events.append((count, specs))
+            frequencies.append(spec.frequency)
+        events.append((count, event.duration, frequencies))
     return (
-        mix_chord(
-            [shape_note(spec, envelope, modulation_depth, sample_rate) for spec in specs]
-        ).samples
-        if specs
-        else np.zeros(count, dtype=np.float64)
-        for count, specs in events
+        _event_samples(
+            count, duration, frequencies, envelope, modulation_depth, sample_rate
+        )
+        for count, duration, frequencies in events
     )
+
+
+def _event_samples(
+    count: int,
+    duration: float,
+    frequencies: Sequence[float],
+    envelope: Optional[Envelope],
+    modulation_depth: float,
+    sample_rate: int,
+) -> np.ndarray:
+    """One event's samples: the equal mix of its voices, or silence.
+
+    Bit for bit mix_chord of the voices' shape_note buffers. The time axis
+    and the envelope are made once for all voices, which share the event's
+    duration, and each voice is added to the mix as soon as it is made.
+    """
+    mixed = np.zeros(count, dtype=np.float64)
+    if not frequencies:
+        return mixed
+    t = np.arange(count) / sample_rate
+    g = None if envelope is None else envelope.amplitudes(t, duration)
+    weight = 1.0 / len(frequencies)
+    voice = np.empty(count, dtype=np.float64)
+    for frequency in frequencies:
+        _voice(voice, t, g, frequency, modulation_depth)
+        np.multiply(voice, weight, out=voice)
+        mixed += voice
+    return mixed
 
 
 def render(
@@ -335,10 +387,19 @@ def render(
 
 
 def _quantize(samples: np.ndarray) -> np.ndarray:
-    """Round half away from zero to int16, clamping to the valid range."""
+    """Round half away from zero to int16, clamping to the valid range.
+
+    Works in place on one scaled copy: sign, then floor(|x| + 0.5), then
+    the sign put back.
+    """
     scaled = samples * 32767.0
-    rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    return np.clip(rounded, -32768, 32767).astype("<i2")
+    negative = np.signbit(scaled)
+    np.abs(scaled, out=scaled)
+    scaled += 0.5
+    np.floor(scaled, out=scaled)
+    np.negative(scaled, out=scaled, where=negative)
+    np.clip(scaled, -32768, 32767, out=scaled)
+    return scaled.astype("<i2")
 
 
 def _write_pieces(pieces: Iterable[np.ndarray], sample_rate: int, path) -> int:
@@ -362,7 +423,7 @@ def _write_pieces(pieces: Iterable[np.ndarray], sample_rate: int, path) -> int:
                         raise ValueError(
                             "cannot write non-finite samples (NaN or inf) to a WAV file"
                         )
-                    handle.writeframesraw(_quantize(piece).tobytes())
+                    handle.writeframesraw(_quantize(piece))
                     frames += len(piece)
         except BaseException:
             raw.close()

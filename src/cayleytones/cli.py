@@ -5,12 +5,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Optional
 
 from .audio import (
     SAMPLE_RATE,
     RenderPlan,
+    _real,
     _render_events,
     _write_pieces,
     envelope_from_dict,
@@ -194,11 +196,7 @@ def _cmd_render(args: argparse.Namespace) -> _Output:
         data = json.load(handle)
     plan = RenderPlan.from_dict(data)
     envelope = envelope_from_dict(data.get("envelope"))
-    depth = data.get("modulation_depth", 0.0)
-    try:
-        depth = float(depth)
-    except TypeError:
-        raise CliError(f"modulation_depth must be a number, got {depth!r}") from None
+    depth = _real(data.get("modulation_depth", 0.0), "modulation_depth")
     if not math.isfinite(depth):
         raise CliError(f"modulation_depth must be finite, got {depth}")
     # Every plan check runs here, before the output file is opened; events
@@ -352,9 +350,18 @@ def main(argv: Optional[list[str]] = None) -> int:
                 print(json.dumps(payload, indent=2 if args.pretty else None))
             else:
                 print(text)
+        # Flushed here, so that a reader who closed stdout early is caught below.
+        sys.stdout.flush()
         return 0
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
+    except BrokenPipeError:
+        # The reader stopped early (`| head`), which is not an input error.
+        # Point stdout at devnull so the interpreter's last flush cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except KeyError as exc:
         print(f"error: missing field {exc} in input", file=sys.stderr)
         return 2

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleytones.audio import (
     SAMPLE_RATE,
@@ -19,6 +20,8 @@ from cayleytones.audio import (
     render,
     shape_note,
     write_wav,
+    _quantize,
+    _render_events,
 )
 from cayleytones.music import system_from_factors
 
@@ -270,3 +273,66 @@ def test_write_wav_rejects_non_finite_samples(tmp_path, bad):
     with pytest.raises(ValueError):
         write_wav(SampleBuffer(np.array([0.0, bad, 0.5])), path)
     assert not path.exists()
+
+
+def _shape_note_formula(spec, envelope, depth):
+    """shape_note's docstring, g(t) * sin(2*pi*f*(t + m*sin(2*pi*f*t))), in numpy."""
+    t = np.arange(round(SAMPLE_RATE * spec.duration)) / SAMPLE_RATE
+    phase = 2.0 * np.pi * spec.frequency
+    warped = t + depth * np.sin(phase * t) if depth else t
+    samples = np.sin(phase * warped)
+    if envelope is not None:
+        samples = envelope.amplitudes(t, spec.duration) * samples
+    return samples
+
+
+@st.composite
+def _one_event_plans(draw):
+    p, q = draw(st.sampled_from([(4, 3), (5, 2), (7, 4), (10, 3)]))
+    system = system_from_factors(p, q)
+    notes = draw(
+        st.lists(st.tuples(st.integers(0, p * q - 1), st.integers(-1, 1)), max_size=8)
+    )
+    kind = "rest" if not notes else "note" if len(notes) == 1 else "chord"
+    duration = draw(st.floats(0.05, 0.3))
+    # Each segment at most 0.015 s, so the envelope fits every drawn duration.
+    segment = st.floats(0.0, 0.015)
+    envelope = draw(
+        st.none() | st.builds(Envelope, segment, segment, st.floats(0, 1), segment)
+    )
+    depth = draw(st.just(0.0) | st.floats(1e-4, 2e-3))
+    plan = RenderPlan(system, (RenderEvent(kind, duration, tuple(notes)),))
+    return plan, envelope, depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(_one_event_plans())
+def test_event_samples_equal_the_mix_of_shape_note_bit_for_bit(case):
+    plan, envelope, depth = case
+    [event] = plan.events
+    [samples] = list(_render_events(plan, envelope, depth, SAMPLE_RATE))
+    specs = [
+        ToneSpec(note_frequency(plan.system, note, octave), event.duration)
+        for note, octave in event.notes
+    ]
+    if not specs:
+        assert np.array_equal(samples, np.zeros(round(SAMPLE_RATE * event.duration)))
+        return
+    mixed = mix_chord([shape_note(spec, envelope, depth) for spec in specs])
+    assert np.array_equal(samples, mixed.samples)
+    formula = np.zeros(len(samples))
+    for spec in specs:
+        formula += (1.0 / len(specs)) * _shape_note_formula(spec, envelope, depth)
+    assert np.array_equal(samples, formula)
+
+
+def test_quantize_rounds_half_away_from_zero_and_clamps():
+    halves = (np.arange(-32770, 32770) + 0.5) / 32767.0
+    samples = np.concatenate(
+        [np.linspace(-1.5, 1.5, 200_001), halves, [0.0, -0.0, 1e-300, -1e-300]]
+    )
+    scaled = samples * 32767.0
+    rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
+    expected = np.clip(rounded, -32768, 32767).astype("<i2")
+    assert np.array_equal(_quantize(samples), expected)
+    assert _quantize(np.array([0.5 / 32767.0, -0.5 / 32767.0])).tolist() == [1, -1]

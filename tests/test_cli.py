@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cayleytones import audio, counterpoint
-from cayleytones.audio import Envelope, RenderPlan, SampleBuffer, render, write_wav
+from cayleytones.audio import Envelope, RenderPlan, render, write_wav
 from cayleytones.cayley import CayleyGraph
 from cayleytones.cli import main
 from cayleytones.counterpoint import (
@@ -458,6 +458,13 @@ def _note_plan(**overrides):
         json.dumps(_note_plan(events=[{"kind": "note", "duration": 0.1, "notes": [[0]]}])),
         json.dumps(_note_plan(events=[{"kind": "note", "duration": 0.1, "notes": [1.7]}])),
         json.dumps(_note_plan(system={"p": 4.9, "q": 3})),
+        # booleans, strings and out-of-range integers where a real is expected
+        json.dumps(_note_plan(events=[{"kind": "note", "duration": True, "notes": [0]}])),
+        json.dumps(_note_plan(events=[{"kind": "note", "duration": "0.5", "notes": [0]}])),
+        json.dumps(_note_plan(modulation_depth=True)),
+        json.dumps(_note_plan(system={"p": 4, "q": 3, "f0": "440"})),
+        json.dumps(_note_plan(envelope={"attack": False})),
+        json.dumps(_note_plan(system={"p": 4, "q": 3, "f0": 10**400})),
         # an event under one sample, and a note above the Nyquist frequency
         json.dumps(_note_plan(events=[{"kind": "note", "duration": 1e-5, "notes": [0]}])),
         json.dumps(_note_plan(system={"p": 4, "q": 3, "f0": 30000})),
@@ -577,13 +584,13 @@ def test_render_checks_the_whole_plan_before_any_synthesis(
     capsys, tmp_path, monkeypatch, bad_event
 ):
     calls = []
-    real = audio.shape_note
+    real = audio._voice
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(audio, "shape_note", counted)
+    monkeypatch.setattr(audio, "_voice", counted)
     plan = dict(STREAM_PLAN, events=[*STREAM_PLAN["events"], bad_event])
     code, out, err, out_path = _render_cli(capsys, tmp_path, plan)
     assert code == 2
@@ -591,24 +598,53 @@ def test_render_checks_the_whole_plan_before_any_synthesis(
     assert err.count("\n") == 1
     assert not out_path.exists()
     assert calls == []
+    # The counted function is the one the CLI synthesises with: once per voice.
+    code, *_ = _render_cli(capsys, tmp_path, STREAM_PLAN)
+    assert (code, len(calls)) == (0, 9)
 
 
 def test_render_removes_the_file_when_a_later_event_is_not_finite(
     capsys, tmp_path, monkeypatch
 ):
     calls = []
-    real = audio.mix_chord
+    real = audio._event_samples
 
-    def poisoned(buffers):
-        calls.append(buffers)
-        mixed = real(buffers)
+    def poisoned(*args):
+        calls.append(args)
+        samples = real(*args)
         if len(calls) == 2:
-            return SampleBuffer(np.full(len(mixed), np.nan))
-        return mixed
+            samples[-1] = np.nan
+        return samples
 
-    monkeypatch.setattr(audio, "mix_chord", poisoned)
+    monkeypatch.setattr(audio, "_event_samples", poisoned)
     code, out, err, out_path = _render_cli(capsys, tmp_path, STREAM_PLAN)
     assert code == 2
     assert err.startswith("error: cannot write non-finite samples")
     assert err.count("\n") == 1
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("counterpoint", "search", "-p", "6", "-q", "5", "--maximal", "--json"),
+        ("validate", "-p", "4", "-q", "3"),
+    ],
+)
+def test_a_closed_stdout_is_not_an_input_error(argv):
+    # The read end is closed before the child starts, so every write to
+    # stdout fails with EPIPE, whether during the output or the last flush.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cayleytones.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            check=False, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
