@@ -17,7 +17,6 @@ print("generators:", sorted(gens.elements))
 graph = CayleyGraph(gens, oriented=False)
 print("d(0, 7) =", graph.distance(0, 7))
 print("d(0, 1) =", graph.distance(0, 1))
-print("path 0 -> 1:", graph.shortest_path(0, 1))
 
 oriented = CayleyGraph(system.generator_set, oriented=True)
 for target in (7, 9, 11, 1, 5):

@@ -3,7 +3,6 @@
 from cayleytones import (
     AffineMap,
     ModRing,
-    compose,
     fixed_points,
     is_involution,
     units,
@@ -11,8 +10,8 @@ from cayleytones import (
 
 ring = ModRing(12)
 print("ring:", ring)
-print("9 + 8 =", ring.element(9) + 8)
-print("-3 =", -ring.element(3))
+print("9 + 8 =", (9 + 8) % ring.n)
+print("-3 =", -3 % ring.n)
 print("units of Z_12:", units(ring))
 
 # every unit h gives the automorphism x -> h*x, the affine map with offset 0
@@ -25,8 +24,8 @@ print("T =", T)
 print("T is an involution:", is_involution(T))
 print("T fixes:", sorted(fixed_points(T)))
 
-# composing T with itself lands on the identity
-print("T o T =", compose(T, T))
+# applying T twice returns every note to itself
+print("T o T =", [T(T(x)) for x in range(12)])
 
 # mod 15 the negation-like map 14x+1 keeps one note in place
 ring15 = ModRing(15)

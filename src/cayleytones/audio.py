@@ -10,6 +10,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .cayley import MAX_MODULUS
 from .music import MusicalSystem, validate_system
 
 SAMPLE_RATE = 44100
@@ -228,13 +229,21 @@ class RenderPlan:
     events: tuple[RenderEvent, ...]
 
     def __post_init__(self) -> None:
+        # note_frequency climbs one step per index and per octave, so both
+        # are bounded before any frequency is computed.
+        if self.system.n > MAX_MODULUS:
+            raise ValueError(f"modulus above supported maximum {MAX_MODULUS}")
         if not self.events:
             raise ValueError("a render plan needs at least one event")
         for event in self.events:
-            for note, _ in event.notes:
+            for note, octave in event.notes:
                 if not 0 <= note < self.system.n:
                     raise ValueError(
                         f"note {note} outside residues of Z_{self.system.n}"
+                    )
+                if abs(octave) > MAX_MODULUS:
+                    raise ValueError(
+                        f"octave {octave} outside [-{MAX_MODULUS}, {MAX_MODULUS}]"
                     )
 
     @classmethod

@@ -5,9 +5,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
 
-from .modular import AffineMap, ModElement, ModRing
+from .modular import AffineMap, ModRing
 
 # All-pairs distance tables stay small up to this modulus; far beyond musical use.
 MAX_MODULUS = 4096
@@ -61,18 +60,6 @@ class GeneratorSet:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class Path:
-    """A walk along labeled edges; length is the number of steps taken."""
-
-    vertices: tuple[int, ...]
-    steps: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
-
-
 class CayleyGraph:
     """Graph on Z_n with an edge g -> g+w per step w.
 
@@ -99,21 +86,12 @@ class CayleyGraph:
         """The effective step set (symmetrized when unoriented)."""
         return self._steps
 
-    def edges(self) -> list[tuple[int, int, int]]:
-        """All directed edges (g, g+w, w) over the effective step set."""
-        n = self.ring.n
-        return [(g, (g + w) % n, w) for g in range(n) for w in self._steps]
-
     def unoriented_view(self) -> "CayleyGraph":
         if self._unoriented is None:
             self._unoriented = CayleyGraph(self.generators, oriented=False)
         return self._unoriented
 
-    def _value(self, x: Union[ModElement, int]) -> int:
-        if isinstance(x, ModElement):
-            if x.ring != self.ring:
-                raise ValueError(f"vertex from Z_{x.ring.n} queried in Z_{self.ring.n}")
-            return x.value
+    def _value(self, x: int) -> int:
         return x % self.ring.n
 
     def _row(self, source: int) -> list[int]:
@@ -133,7 +111,7 @@ class CayleyGraph:
             self._rows[source] = row
         return row
 
-    def distance(self, a: Union[ModElement, int], b: Union[ModElement, int]) -> int:
+    def distance(self, a: int, b: int) -> int:
         """Shortest unoriented path length; the graph metric d(a, b)."""
         if self.oriented:
             return self.unoriented_view().distance(a, b)
@@ -143,9 +121,7 @@ class CayleyGraph:
             raise UnreachableVertexError(f"no path from {a} to {b}")
         return d
 
-    def oriented_path_length(
-        self, a: Union[ModElement, int], b: Union[ModElement, int]
-    ) -> int:
+    def oriented_path_length(self, a: int, b: int) -> int:
         """Shortest directed path length; may be asymmetric."""
         if not self.oriented:
             raise ValueError("oriented path length requires an oriented graph")
@@ -155,50 +131,16 @@ class CayleyGraph:
             raise UnreachableVertexError(f"no oriented path from {a} to {b}")
         return d
 
-    def shortest_path(
-        self, a: Union[ModElement, int], b: Union[ModElement, int]
-    ) -> Path:
-        """One shortest path from a to b with its step labels."""
-        a, b = self._value(a), self._value(b)
-        n = self.ring.n
-        parent: dict[int, tuple[int, int]] = {}
-        seen = {a}
-        frontier = deque([a])
-        while frontier and b not in parent and b != a:
-            v = frontier.popleft()
-            for w in self._steps:
-                u = (v + w) % n
-                if u not in seen:
-                    seen.add(u)
-                    parent[u] = (v, w)
-                    frontier.append(u)
-        if b != a and b not in parent:
-            raise UnreachableVertexError(f"no path from {a} to {b}")
-        vertices = [b]
-        steps = []
-        while vertices[-1] != a:
-            v, w = parent[vertices[-1]]
-            vertices.append(v)
-            steps.append(w)
-        return Path(tuple(reversed(vertices)), tuple(reversed(steps)))
-
-
-def _as_function(f) -> Callable[[int], int]:
-    if isinstance(f, Mapping):
-        return lambda x: f[x]
-    return f
-
 
 def is_isometry_bruteforce(G: CayleyGraph, f) -> bool:
     """Check d(x, y) = d(f(x), f(y)) over all vertex pairs.
 
-    f may be any callable or mapping on residues; the graph is queried
-    through its unoriented view.
+    f may be any callable on residues; the graph is queried through its
+    unoriented view.
     """
     graph = G.unoriented_view()
     n = graph.ring.n
-    func = _as_function(f)
-    image = [func(x) for x in range(n)]
+    image = [f(x) for x in range(n)]
     if any(not isinstance(y, int) or not 0 <= y < n for y in image):
         raise ValueError("map must send residues to residues")
     for x in range(n):

@@ -130,6 +130,8 @@ def _parse_residues(text: str, n: int) -> frozenset[int]:
         values = [int(token) for token in text.replace(",", " ").split()]
     except ValueError:
         raise CliError(f"could not parse residue list {text!r}") from None
+    if not values:
+        raise CliError("--consonants needs at least one residue")
     return frozenset(value % n for value in values)
 
 
@@ -153,12 +155,16 @@ def _table(result) -> str:
 
 def _search(args: argparse.Namespace, system: MusicalSystem):
     """The search report for args.mode, or the chosen Dichotomy for refine."""
+    if args.consonants is not None and args.mode != "strong":
+        raise CliError("--consonants applies only to --strong")
+    if (args.multiplier, args.offset) != (None, None) and args.mode != "maximal":
+        raise CliError("--multiplier and --offset apply only to --maximal")
     seed = ConsonantSeed(system.symmetric_generator_set)
     graph = CayleyGraph(system.symmetric_generator_set, oriented=False)
     if args.mode == "weak":
         return enumerate_weak_witnesses(system.n, seed.generators.elements)
     if args.mode == "strong":
-        if args.consonants:
+        if args.consonants is not None:
             consonant = _parse_residues(args.consonants, system.n)
         elif (system.p, system.q) == (4, 3):
             consonant = fux_dichotomy().consonant
@@ -254,7 +260,7 @@ def _build_parser() -> _Parser:
 
     cmd = sub.add_parser(
         "graph",
-        parents=[system_flags, output_flags],
+        parents=[system_flags],
         help="export the step graph as DOT",
     )
     cmd.add_argument("--oriented", action="store_true", help="keep edge directions")

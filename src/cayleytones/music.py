@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -148,9 +147,6 @@ class Chord:
             "notes": list(self.notes),
         }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 def chord_from_steps(system: MusicalSystem, root: int, steps) -> Chord:
     """Walk the steps from the root, rejecting any early revisit.
@@ -233,9 +229,6 @@ class CircleOfFifths:
             "trivial": self.trivial,
         }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 def circle_of_fifths(
     system: MusicalSystem, pair: Optional[tuple[int, int]] = None
@@ -280,9 +273,6 @@ class Scale:
                 "notes": list(self.backbone.notes),
             },
         }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def _leg_offsets(width: int, pattern: str) -> list[int]:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cayleytones
 from cayleytones import audio, counterpoint
 from cayleytones.audio import Envelope, RenderPlan, render, write_wav
 from cayleytones.cayley import CayleyGraph
@@ -24,6 +25,76 @@ from cayleytones.counterpoint import (
 from cayleytones.music import MAJOR, circle_of_fifths, scale, system_from_factors
 
 Z12 = system_from_factors(4, 3)
+
+
+def test_public_names_are_exactly_these_and_all_resolve():
+    assert cayleytones.__all__ == [
+        "AffineMap",
+        "AmbiguousRefinementError",
+        "CayleyGraph",
+        "Chord",
+        "CircleOfFifths",
+        "ConsonantSeed",
+        "DYAD",
+        "Dichotomy",
+        "Envelope",
+        "GeneratorSet",
+        "GeneratorSetError",
+        "IntervalRow",
+        "InvalidChordError",
+        "InvalidEnvelopeError",
+        "MAJOR",
+        "MAX_MODULUS",
+        "MINOR",
+        "ModRing",
+        "MusicalSystem",
+        "NoStrongDichotomyError",
+        "PartitionRecord",
+        "RenderEvent",
+        "RenderPlan",
+        "SAMPLE_RATE",
+        "SampleBuffer",
+        "Scale",
+        "SearchReport",
+        "SystemValidationError",
+        "ToneSpec",
+        "UnreachableVertexError",
+        "chord_catalog",
+        "chord_from_steps",
+        "circle_of_fifths",
+        "enumerate_weak_witnesses",
+        "envelope_from_dict",
+        "export_dot",
+        "extend_to_partitions",
+        "find_affine_for_partition",
+        "fixed_points",
+        "fux_dichotomy",
+        "interval_table",
+        "is_involution",
+        "is_isometry_bruteforce",
+        "is_isometry_by_generators",
+        "largest_chord_within_octave",
+        "maximal_consonant_extension",
+        "minimal_oriented_refinement",
+        "mix_chord",
+        "note_frequency",
+        "pure_tone",
+        "read_wav",
+        "render",
+        "satisfies_strong",
+        "satisfies_weak",
+        "scale",
+        "shape_note",
+        "strong_search_report",
+        "sumset",
+        "system_from_factors",
+        "triad",
+        "units",
+        "validate_system",
+        "write_wav",
+    ]
+    for name in cayleytones.__all__:
+        assert getattr(cayleytones, name) is not None
 
 
 def run(capsys, *argv):
@@ -78,7 +149,7 @@ def test_circle_sequence(capsys):
 def test_circle_json_matches_module(capsys):
     code, out, err = run(capsys, "circle", "-p", "5", "-q", "2", "--json")
     assert code == 0
-    assert out == circle_of_fifths(system_from_factors(5, 2)).to_json() + "\n"
+    assert out == json.dumps(circle_of_fifths(system_from_factors(5, 2)).to_dict()) + "\n"
 
 
 def test_distance_unoriented(capsys):
@@ -113,7 +184,7 @@ def test_scale_json_matches_module(capsys):
         capsys, "scale", "-p", "4", "-q", "3", "--quality", "minor", "--json"
     )
     assert code == 0
-    assert out == scale(Z12, 0, "minor").to_json() + "\n"
+    assert out == json.dumps(scale(Z12, 0, "minor").to_dict()) + "\n"
 
 
 def test_chords_root_needs_quality(capsys):
@@ -152,6 +223,13 @@ def test_graph_dot_output(capsys, tmp_path):
     assert path.read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize("flag", ["--json", "--pretty"])
+def test_graph_takes_no_output_flags(capsys, flag):
+    code, out, err = run(capsys, "graph", "-p", "4", "-q", "3", flag)
+    assert (code, out) == (2, "")
+    assert err == f"error: unrecognized arguments: {flag}\n"
+
+
 def test_counterpoint_strong_matches_module(capsys):
     code, out, err = run(
         capsys, "counterpoint", "search", "--strong", "-p", "4", "-q", "3"
@@ -170,6 +248,35 @@ def test_counterpoint_strong_needs_consonants_elsewhere(capsys):
     )
     assert code == 2
     assert "--consonants" in err
+
+
+@pytest.mark.parametrize("text", ["", ",", " "])
+def test_counterpoint_strong_refuses_an_empty_consonant_list(capsys, text):
+    code, out, err = run(
+        capsys,
+        "counterpoint", "search", "--strong", "-p", "4", "-q", "3",
+        "--consonants", text,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --consonants needs at least one residue\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--weak", "--consonants", "1,2"),
+        ("--consonants", "1,2"),
+        ("--maximal", "--consonants", "0,3,4"),
+        ("--extend", "--multiplier", "5", "--offset", "2"),
+        ("--strong", "--multiplier", "5", "--offset", "2"),
+        ("--refine", "--offset", "2"),
+    ],
+)
+def test_counterpoint_refuses_flags_of_another_mode(capsys, argv):
+    code, out, err = run(capsys, "counterpoint", "search", "-p", "4", "-q", "3", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and " only to --" in err
+    assert err.count("\n") == 1
 
 
 def test_counterpoint_strong_with_consonants(capsys):
@@ -509,6 +616,46 @@ def test_render_into_missing_directory_is_one_line(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "plan, message",
+    [
+        (
+            {"system": {"p": 100003, "q": 99991},
+             "events": [{"kind": "note", "duration": 0.1, "notes": [9999399972]}]},
+            "error: modulus above supported maximum 4096\n",
+        ),
+        (
+            _note_plan(events=[{"kind": "note", "duration": 0.1,
+                                "notes": [{"note": 0, "octave": 10**12}]}]),
+            "error: octave 1000000000000 outside [-4096, 4096]\n",
+        ),
+        (
+            _note_plan(events=[{"kind": "note", "duration": 0.1,
+                                "notes": [{"note": 0, "octave": -4097}]}]),
+            "error: octave -4097 outside [-4096, 4096]\n",
+        ),
+    ],
+)
+def test_render_refuses_a_note_ladder_past_the_bound_at_once(tmp_path, plan, message):
+    # note_frequency takes one step per index and per octave; without the
+    # bound the first plan would loop about 10**10 times, the second 10**12.
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    out_path = tmp_path / "x.wav"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "cayleytones.cli", "render",
+            "--plan", str(plan_path), "--out", str(out_path),
+        ],
+        capture_output=True, text=True, env=env, check=False, timeout=20,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+    assert not out_path.exists()
 
 
 # Notes, chords of three and four voices, a rest, an envelope and FM.

@@ -5,10 +5,7 @@ from hypothesis import given, strategies as st
 
 from cayleytones.modular import (
     AffineMap,
-    ModElement,
     ModRing,
-    ModulusMismatchError,
-    compose,
     fixed_points,
     is_involution,
     units,
@@ -22,51 +19,6 @@ def test_ring_rejects_tiny_modulus():
         ModRing(1)
     with pytest.raises(ValueError):
         ModRing(0)
-
-
-def test_values_reduce_into_range():
-    r = ModRing(12)
-    assert r.element(14).value == 2
-    assert r.element(-1).value == 11
-    assert r.element(24).value == 0
-
-
-def test_add_example():
-    r = ModRing(12)
-    assert (r.element(9) + r.element(8)).value == 5
-
-
-def test_neg_example():
-    r = ModRing(12)
-    assert (-r.element(3)).value == 9
-    assert (-r.element(0)).value == 0
-
-
-def test_sub_and_mul():
-    r = ModRing(12)
-    assert (r.element(3) - r.element(8)).value == 7
-    assert (r.element(9) * r.element(8)).value == 0
-    assert (r.element(9) * 8).value == 0
-    assert (r.element(9) - 8).value == 1
-
-
-def test_mismatched_rings_rejected():
-    a = ModRing(12).element(3)
-    b = ModRing(10).element(3)
-    with pytest.raises(ModulusMismatchError):
-        a + b
-    with pytest.raises(ModulusMismatchError):
-        a * b
-
-
-@given(rings, st.integers(), st.integers(), st.integers())
-def test_group_axioms(ring, x, y, z):
-    """Associativity, identity 0, inverses, commutativity of the sum."""
-    a, b, c = ring.element(x), ring.element(y), ring.element(z)
-    assert ((a + b) + c) == (a + (b + c))
-    assert (a + ring.element(0)) == a
-    assert (a + (-a)).value == 0
-    assert (a + b) == (b + a)
 
 
 def test_units_examples():
@@ -117,26 +69,8 @@ def test_affine_apply_examples():
     r = ModRing(12)
     T = AffineMap(r, 5, 2)
     assert T(0) == 2
-    assert T(r.element(0)).value == 2
     T15 = AffineMap(ModRing(15), 14, 1)
     assert T15(8) == 8
-
-
-def test_compose_example():
-    r = ModRing(12)
-    T = AffineMap(r, 5, 2)
-    squared = compose(T, T)
-    assert (squared.multiplier, squared.offset) == (1, 0)
-    assert squared == AffineMap.identity(r)
-
-
-def test_compose_is_function_composition():
-    r = ModRing(15)
-    T1 = AffineMap(r, 2, 3)
-    T2 = AffineMap(r, 7, 11)
-    both = compose(T1, T2)
-    for x in range(15):
-        assert both(x) == T1(T2(x))
 
 
 def test_involution_examples():
@@ -173,7 +107,7 @@ def test_fixed_points_examples():
     pts = fixed_points(AffineMap(r, 7, 6))
     assert 3 in pts
     assert pts == frozenset({1, 3, 5, 7, 9, 11})
-    assert fixed_points(AffineMap.identity(r)) == frozenset(range(12))
+    assert fixed_points(AffineMap(r, 1, 0)) == frozenset(range(12))
 
 
 def test_fixed_point_z15_example():
@@ -184,9 +118,3 @@ def test_affine_normal_form():
     r = ModRing(12)
     T = AffineMap(r, 17, 14)
     assert (T.multiplier, T.offset) == (5, 2)
-
-
-def test_element_repr_round_trip():
-    e = ModRing(10).element(7)
-    assert int(e) == 7
-    assert "7" in repr(e)
