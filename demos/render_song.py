@@ -28,9 +28,9 @@ events.append(RenderEvent("rest", 0.2))
 chord = triad(system, 0, MAJOR)
 events.append(RenderEvent("chord", 1.0, tuple((x, 0) for x in chord.notes)))
 
-plan = RenderPlan(system, tuple(events))
 envelope = Envelope(attack=0.02, decay=0.05, sustain_level=0.8, release=0.05)
-buffer = render(plan, envelope=envelope)
+plan = RenderPlan(system, tuple(events), envelope)
+buffer = render(plan)
 
 out = os.path.join(os.path.dirname(__file__), "major_scale.wav")
 write_wav(buffer, out)

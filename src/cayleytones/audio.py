@@ -76,14 +76,9 @@ class SampleBuffer:
         return len(self.samples)
 
 
-def _sample_times(duration: float, sample_rate: int) -> np.ndarray:
-    count = round(sample_rate * duration)
-    return np.arange(count) / sample_rate
-
-
-def pure_tone(spec: ToneSpec, sample_rate: int = SAMPLE_RATE) -> SampleBuffer:
-    """samples[i] = sin(2*pi*f*t_i) with t_i = i / rate."""
-    return shape_note(spec, sample_rate=sample_rate)
+def pure_tone(spec: ToneSpec) -> SampleBuffer:
+    """samples[i] = sin(2*pi*f*t_i) with t_i = i / SAMPLE_RATE."""
+    return SampleBuffer(_event_samples(spec.duration, (spec.frequency,), None, 0.0))
 
 
 @dataclass(frozen=True)
@@ -125,23 +120,6 @@ class Envelope:
         return g
 
 
-def shape_note(
-    spec: ToneSpec,
-    envelope: Optional[Envelope] = None,
-    modulation_depth: float = 0.0,
-    sample_rate: int = SAMPLE_RATE,
-) -> SampleBuffer:
-    """g(t) * sin(2*pi*f*(t + m*sin(2*pi*f*t))).
-
-    With no envelope and zero depth this reduces exactly to pure_tone.
-    """
-    t = _sample_times(spec.duration, sample_rate)
-    g = None if envelope is None else envelope.amplitudes(t, spec.duration)
-    voice = np.empty(len(t), dtype=np.float64)
-    _voice(voice, t, g, spec.frequency, modulation_depth)
-    return SampleBuffer(voice, sample_rate)
-
-
 def _voice(
     out: np.ndarray,
     t: np.ndarray,
@@ -149,7 +127,7 @@ def _voice(
     frequency: float,
     modulation_depth: float,
 ) -> None:
-    """Write shape_note's samples into out, in place.
+    """Write one voice, g(t) * sin(2*pi*f*(t + m*sin(2*pi*f*t))), into out.
 
     The steps, in this order, fix every output bit: phase*t, sin, depth*,
     t+, phase*, sin, then g*.
@@ -165,34 +143,6 @@ def _voice(
     np.sin(out, out=out)
     if g is not None:
         np.multiply(out, g, out=out)
-
-
-def mix_chord(
-    buffers: Sequence[SampleBuffer], weights: Optional[Sequence[float]] = None
-) -> SampleBuffer:
-    """Sample-wise weighted average; weights normalize to sum 1."""
-    if not buffers:
-        raise ValueError("cannot mix zero buffers")
-    rate = buffers[0].sample_rate
-    length = len(buffers[0])
-    for b in buffers[1:]:
-        if b.sample_rate != rate:
-            raise ValueError("sample rates differ")
-        if len(b) != length:
-            raise ValueError("buffer lengths differ")
-    if weights is None:
-        weights = [1.0] * len(buffers)
-    if len(weights) != len(buffers):
-        raise ValueError("one weight per buffer required")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be nonnegative")
-    total = float(sum(weights))
-    if total == 0:
-        raise ValueError("weights must not all be zero")
-    mixed = np.zeros(length, dtype=np.float64)
-    for buf, w in zip(buffers, weights):
-        mixed += (w / total) * buf.samples
-    return SampleBuffer(mixed, rate)
 
 
 @dataclass(frozen=True)
@@ -223,20 +173,38 @@ class RenderEvent:
 
 @dataclass(frozen=True)
 class RenderPlan:
-    """A system plus an ordered list of events to render back to back."""
+    """A system, an ordered list of events to render back to back, and the
+    envelope and phase-modulation depth every sounding event shares.
+
+    Everything rendering needs is checked here, event by event in plan
+    order, so a bad plan is refused before any audio is made and the error
+    names its first bad event: every event lasts at least one sample, every
+    note is a residue of Z_n at |octave| <= MAX_MODULUS and sounds below the
+    Nyquist frequency SAMPLE_RATE / 2, where it would alias, and the
+    envelope fits inside every sounding event.
+    """
 
     system: MusicalSystem
     events: tuple[RenderEvent, ...]
+    envelope: Optional[Envelope] = None
+    modulation_depth: float = 0.0
 
     def __post_init__(self) -> None:
-        # note_frequency climbs one step per index and per octave, so both
-        # are bounded before any frequency is computed.
-        if self.system.n > MAX_MODULUS:
-            raise ValueError(f"modulus above supported maximum {MAX_MODULUS}")
+        if not math.isfinite(self.modulation_depth):
+            raise ValueError(
+                f"modulation_depth must be finite, got {self.modulation_depth}"
+            )
         if not self.events:
             raise ValueError("a render plan needs at least one event")
         for event in self.events:
+            if round(SAMPLE_RATE * event.duration) == 0:
+                raise ValueError(
+                    f"a {event.duration} s event is shorter than one sample "
+                    f"at {SAMPLE_RATE} Hz"
+                )
             for note, octave in event.notes:
+                # note_frequency climbs one step per index and per octave, so
+                # both are bounded before its frequency is computed.
                 if not 0 <= note < self.system.n:
                     raise ValueError(
                         f"note {note} outside residues of Z_{self.system.n}"
@@ -245,6 +213,14 @@ class RenderPlan:
                     raise ValueError(
                         f"octave {octave} outside [-{MAX_MODULUS}, {MAX_MODULUS}]"
                     )
+                spec = ToneSpec(note_frequency(self.system, note, octave), event.duration)
+                if spec.frequency >= SAMPLE_RATE / 2:
+                    raise ValueError(
+                        f"note {note} at octave {octave} sounds at {spec.frequency} Hz, "
+                        f"not below the Nyquist frequency {SAMPLE_RATE / 2} Hz"
+                    )
+            if event.notes and self.envelope is not None:
+                self.envelope.check_fits(event.duration)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RenderPlan":
@@ -270,7 +246,12 @@ class RenderPlan:
                 notes.append((_integer(note, "note"), _integer(octave, "octave")))
             duration = _real(entry["duration"], "duration")
             events.append(RenderEvent(kind, duration, tuple(notes)))
-        return cls(system, tuple(events))
+        return cls(
+            system,
+            tuple(events),
+            envelope_from_dict(data.get("envelope")),
+            _real(data.get("modulation_depth", 0.0), "modulation_depth"),
+        )
 
 
 def _expect(value, kind: type, what: str):
@@ -311,63 +292,34 @@ def envelope_from_dict(data: Optional[dict]) -> Optional[Envelope]:
     )
 
 
-def _render_events(
-    plan: RenderPlan,
-    envelope: Optional[Envelope],
-    modulation_depth: float,
-    sample_rate: int,
-) -> Iterator[np.ndarray]:
-    """Each event's samples in plan order, made one event at a time.
-
-    The whole plan is checked before this returns, so a bad event anywhere
-    raises before any audio is made, and the first bad one in plan order.
-    """
-    events = []
+def _render_events(plan: RenderPlan) -> Iterator[np.ndarray]:
+    """Each event's samples in plan order, made one event at a time."""
     for event in plan.events:
-        count = round(sample_rate * event.duration)
-        if count == 0:
-            raise ValueError(
-                f"a {event.duration} s event is shorter than one sample "
-                f"at {sample_rate} Hz"
-            )
-        frequencies = []
-        for note, octave in event.notes:
-            spec = ToneSpec(note_frequency(plan.system, note, octave), event.duration)
-            if spec.frequency >= sample_rate / 2:
-                raise ValueError(
-                    f"note {note} at octave {octave} sounds at {spec.frequency} Hz, "
-                    f"not below the Nyquist frequency {sample_rate / 2} Hz"
-                )
-            if envelope is not None:
-                envelope.check_fits(event.duration)
-            frequencies.append(spec.frequency)
-        events.append((count, event.duration, frequencies))
-    return (
-        _event_samples(
-            count, duration, frequencies, envelope, modulation_depth, sample_rate
+        frequencies = [
+            note_frequency(plan.system, note, octave) for note, octave in event.notes
+        ]
+        yield _event_samples(
+            event.duration, frequencies, plan.envelope, plan.modulation_depth
         )
-        for count, duration, frequencies in events
-    )
 
 
 def _event_samples(
-    count: int,
     duration: float,
     frequencies: Sequence[float],
     envelope: Optional[Envelope],
     modulation_depth: float,
-    sample_rate: int,
 ) -> np.ndarray:
     """One event's samples: the equal mix of its voices, or silence.
 
-    Bit for bit mix_chord of the voices' shape_note buffers. The time axis
-    and the envelope are made once for all voices, which share the event's
-    duration, and each voice is added to the mix as soon as it is made.
+    The time axis and the envelope are made once for all voices, which
+    share the event's duration, and each voice is added to the mix as soon
+    as it is made.
     """
+    count = round(SAMPLE_RATE * duration)
     mixed = np.zeros(count, dtype=np.float64)
     if not frequencies:
         return mixed
-    t = np.arange(count) / sample_rate
+    t = np.arange(count) / SAMPLE_RATE
     g = None if envelope is None else envelope.amplitudes(t, duration)
     weight = 1.0 / len(frequencies)
     voice = np.empty(count, dtype=np.float64)
@@ -378,21 +330,9 @@ def _event_samples(
     return mixed
 
 
-def render(
-    plan: RenderPlan,
-    envelope: Optional[Envelope] = None,
-    modulation_depth: float = 0.0,
-    sample_rate: int = SAMPLE_RATE,
-) -> SampleBuffer:
-    """Concatenate per-event buffers; rests render as silence.
-
-    Every event must last at least one sample, every note must sound
-    below the Nyquist frequency sample_rate / 2, where it would alias, and
-    the envelope must fit every sounding event. All of this is checked
-    before any event is synthesised.
-    """
-    pieces = _render_events(plan, envelope, modulation_depth, sample_rate)
-    return SampleBuffer(np.concatenate(list(pieces)), sample_rate)
+def render(plan: RenderPlan) -> SampleBuffer:
+    """Concatenate per-event buffers; rests render as silence."""
+    return SampleBuffer(np.concatenate(list(_render_events(plan))))
 
 
 def _quantize(samples: np.ndarray) -> np.ndarray:

@@ -4,19 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Optional
 
-from .audio import (
-    SAMPLE_RATE,
-    RenderPlan,
-    _real,
-    _render_events,
-    _write_pieces,
-    envelope_from_dict,
-)
+from .audio import SAMPLE_RATE, RenderPlan, _render_events, _write_pieces
 from .cayley import CayleyGraph, export_dot
 from .counterpoint import (
     ConsonantSeed,
@@ -199,16 +191,10 @@ def _cmd_counterpoint(args: argparse.Namespace) -> None:
 
 def _cmd_render(args: argparse.Namespace) -> _Output:
     with open(args.plan, encoding="utf-8") as handle:
-        data = json.load(handle)
-    plan = RenderPlan.from_dict(data)
-    envelope = envelope_from_dict(data.get("envelope"))
-    depth = _real(data.get("modulation_depth", 0.0), "modulation_depth")
-    if not math.isfinite(depth):
-        raise CliError(f"modulation_depth must be finite, got {depth}")
-    # Every plan check runs here, before the output file is opened; events
-    # are then synthesised and written one at a time.
-    pieces = _render_events(plan, envelope, depth, SAMPLE_RATE)
-    samples = _write_pieces(pieces, SAMPLE_RATE, args.out)
+        plan = RenderPlan.from_dict(json.load(handle))
+    # The plan is fully checked, so the output file is opened only for a
+    # plan that renders; events are synthesised and written one at a time.
+    samples = _write_pieces(_render_events(plan), SAMPLE_RATE, args.out)
     payload = {"out": args.out, "samples": samples, "sample_rate": SAMPLE_RATE}
     return payload, f"wrote {args.out}: {samples} samples at {SAMPLE_RATE} Hz"
 

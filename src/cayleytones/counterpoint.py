@@ -88,10 +88,6 @@ class ConsonantSeed:
     def members(self) -> frozenset[int]:
         return frozenset({0} | set(self.generators.elements))
 
-    @classmethod
-    def from_system(cls, system) -> "ConsonantSeed":
-        return cls(system.symmetric_generator_set)
-
 
 def sumset(A: Iterable[int], B: Iterable[int], ring: ModRing) -> frozenset[int]:
     """All pairwise sums a+b mod n."""

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cayley import GeneratorSet
+from .cayley import MAX_MODULUS, GeneratorSet
 from .modular import ModRing
 
 MAJOR = "major"
@@ -32,7 +32,8 @@ class MusicalSystem:
     """n notes per octave of ratio s, built on coprime steps p > q > 1.
 
     Note k sounds at f0 * s^(k/n); the generators p and q provide the
-    chord steps and, summed, the circle-of-fifths step.
+    chord steps and, summed, the circle-of-fifths step. n = p*q is at most
+    MAX_MODULUS.
     """
 
     n: int
@@ -57,6 +58,10 @@ class MusicalSystem:
         if self.n != self.p * self.q:
             raise SystemValidationError(
                 "product", f"n must equal p*q, got n={self.n}, p*q={self.p * self.q}"
+            )
+        if self.n > MAX_MODULUS:
+            raise SystemValidationError(
+                "modulus", f"modulus above supported maximum {MAX_MODULUS}"
             )
         if not self.s > 1:
             raise SystemValidationError("octave", f"octave ratio must exceed 1, got {self.s}")
@@ -86,19 +91,14 @@ class MusicalSystem:
 def validate_system(
     n: int, p: int, q: int, s: float = 2.0, f0: float = 440.0
 ) -> MusicalSystem:
-    """Build a MusicalSystem after checking every invariant.
+    """Build a MusicalSystem, swapping factors given in the wrong order.
 
-    Factors given in the wrong order are swapped. The generation of Z_n
-    by {p, q} is verified directly rather than assumed.
+    {p, q} always generates Z_n: the factors are coprime and n = p*q, so
+    gcd(n, p, q) = 1.
     """
     if q > p:
         p, q = q, p
-    system = MusicalSystem(n, p, q, s, f0)
-    if not system.generator_set.is_generating():
-        raise SystemValidationError(
-            "generating", f"{{{p},{q}}} does not generate Z_{n}"
-        )
-    return system
+    return MusicalSystem(n, p, q, s, f0)
 
 
 def system_from_factors(p: int, q: int, s: float = 2.0, f0: float = 440.0) -> MusicalSystem:

@@ -13,13 +13,12 @@ from cayleytones.audio import (
     SampleBuffer,
     ToneSpec,
     envelope_from_dict,
-    mix_chord,
     note_frequency,
     pure_tone,
     read_wav,
     render,
-    shape_note,
     write_wav,
+    _event_samples,
     _quantize,
     _render_events,
 )
@@ -83,15 +82,10 @@ def test_transposition_covariance_is_bit_exact():
             assert note_frequency(shifted, k) == note_frequency(Z12, k + j)
 
 
-def test_shape_note_reduces_to_pure_tone():
-    spec = ToneSpec(440.0, 0.25)
-    assert np.array_equal(shape_note(spec).samples, pure_tone(spec).samples)
-
-
-def test_shape_note_modulation_changes_signal():
-    spec = ToneSpec(440.0, 0.25)
-    plain = shape_note(spec)
-    warped = shape_note(spec, modulation_depth=0.3)
+def test_modulation_changes_signal():
+    events = (RenderEvent("note", 0.25, ((0, 0),)),)
+    plain = render(RenderPlan(Z12, events))
+    warped = render(RenderPlan(Z12, events, modulation_depth=0.3))
     assert not np.array_equal(plain.samples, warped.samples)
     assert np.max(np.abs(warped.samples)) <= 1.0
 
@@ -110,8 +104,9 @@ def test_envelope_attack_ramp_is_monotone():
 
 def test_envelope_must_fit_duration():
     env = Envelope(attack=0.3, decay=0.3, sustain_level=0.5, release=0.5)
+    t = np.arange(SAMPLE_RATE) / SAMPLE_RATE
     with pytest.raises(InvalidEnvelopeError):
-        shape_note(ToneSpec(440.0, 1.0), envelope=env)
+        env.amplitudes(t, 1.0)
 
 
 def test_envelope_validation():
@@ -132,36 +127,12 @@ def test_envelope_from_dict():
     assert env.decay == 0.05
 
 
-def test_mix_equal_buffers_is_identity():
-    buf = pure_tone(ToneSpec(440.0, 0.1))
-    mixed = mix_chord([buf, buf, buf])
-    assert np.allclose(mixed.samples, buf.samples)
-
-
 def test_mix_stays_bounded():
-    notes = [pure_tone(ToneSpec(f, 0.1)) for f in (440.0, 550.0, 660.0)]
-    mixed = mix_chord(notes)
+    frequencies = (440.0, 550.0, 660.0)
+    notes = [pure_tone(ToneSpec(f, 0.1)) for f in frequencies]
+    mixed = _event_samples(0.1, frequencies, None, 0.0)
     bound = max(float(np.max(np.abs(b.samples))) for b in notes)
-    assert np.max(np.abs(mixed.samples)) <= bound + 1e-12
-
-
-def test_mix_weights_normalize():
-    a = pure_tone(ToneSpec(440.0, 0.1))
-    b = pure_tone(ToneSpec(660.0, 0.1))
-    half = mix_chord([a, b], weights=[1.0, 1.0])
-    double = mix_chord([a, b], weights=[2.0, 2.0])
-    assert np.allclose(half.samples, double.samples)
-
-
-def test_mix_validation():
-    a = pure_tone(ToneSpec(440.0, 0.1))
-    short = pure_tone(ToneSpec(440.0, 0.05))
-    with pytest.raises(ValueError):
-        mix_chord([])
-    with pytest.raises(ValueError):
-        mix_chord([a, short])
-    with pytest.raises(ValueError):
-        mix_chord([a, a], weights=[1.0, -1.0])
+    assert np.max(np.abs(mixed)) <= bound + 1e-12
 
 
 def test_sample_buffer_is_read_only():
@@ -209,11 +180,56 @@ def test_render_plan_from_dict():
     plan = RenderPlan.from_dict(data)
     assert plan.system.n == 12
     assert plan.events[1].notes == ((4, -1), (7, 0))
+    assert (plan.envelope, plan.modulation_depth) == (None, 0.0)
+    data.update(envelope={"attack": 0.1}, modulation_depth=0.01)
+    plan = RenderPlan.from_dict(data)
+    assert (plan.envelope, plan.modulation_depth) == (Envelope(attack=0.1), 0.01)
 
 
 def test_render_plan_rejects_stray_notes():
     with pytest.raises(ValueError):
         RenderPlan(Z12, (RenderEvent("note", 0.5, ((12, 0),)),))
+
+
+# Its segments span 0.15 s.
+LONG_ENVELOPE = Envelope(attack=0.05, decay=0.05, sustain_level=0.5, release=0.05)
+
+
+@pytest.mark.parametrize(
+    "event, envelope, depth, error, message",
+    [
+        pytest.param(
+            RenderEvent("note", 1e-5, ((0, 0),)), None, 0.0, ValueError, "one sample",
+            id="sub-sample",
+        ),
+        pytest.param(
+            RenderEvent("note", 0.5, ((0, 6),)), None, 0.0, ValueError, "Nyquist",
+            id="above-nyquist",
+        ),
+        pytest.param(
+            RenderEvent("chord", 0.1, ((0, 0), (4, 0))), LONG_ENVELOPE, 0.0,
+            InvalidEnvelopeError, "envelope spans",
+            id="envelope-outlasts-chord",
+        ),
+        pytest.param(
+            RenderEvent("note", 0.5, ((0, 0),)), None, NAN, ValueError, "must be finite",
+            id="nan-depth",
+        ),
+        # A rest is silence under any envelope, so it may be the shorter.
+        pytest.param(
+            RenderEvent("rest", 0.1), LONG_ENVELOPE, 0.0, None, None,
+            id="rest-shorter-than-envelope",
+        ),
+    ],
+)
+def test_render_plan_checks_every_event_when_built(event, envelope, depth, error, message):
+    events = (RenderEvent("note", 0.5, ((0, 0),)), event)
+    if error is None:
+        plan = RenderPlan(Z12, events, envelope, depth)
+        assert len(render(plan)) == round(0.6 * SAMPLE_RATE)
+        return
+    with pytest.raises(error, match=message):
+        RenderPlan(Z12, events, envelope, depth)
 
 
 def test_scale_plan_renders_one_event_per_note(tmp_path):
@@ -275,8 +291,8 @@ def test_write_wav_rejects_non_finite_samples(tmp_path, bad):
     assert not path.exists()
 
 
-def _shape_note_formula(spec, envelope, depth):
-    """shape_note's docstring, g(t) * sin(2*pi*f*(t + m*sin(2*pi*f*t))), in numpy."""
+def _voice_formula(spec, envelope, depth):
+    """One voice, g(t) * sin(2*pi*f*(t + m*sin(2*pi*f*t))), in numpy."""
     t = np.arange(round(SAMPLE_RATE * spec.duration)) / SAMPLE_RATE
     phase = 2.0 * np.pi * spec.frequency
     warped = t + depth * np.sin(phase * t) if depth else t
@@ -301,16 +317,15 @@ def _one_event_plans(draw):
         st.none() | st.builds(Envelope, segment, segment, st.floats(0, 1), segment)
     )
     depth = draw(st.just(0.0) | st.floats(1e-4, 2e-3))
-    plan = RenderPlan(system, (RenderEvent(kind, duration, tuple(notes)),))
-    return plan, envelope, depth
+    return RenderPlan(system, (RenderEvent(kind, duration, tuple(notes)),), envelope, depth)
 
 
 @settings(max_examples=60, deadline=None)
 @given(_one_event_plans())
-def test_event_samples_equal_the_mix_of_shape_note_bit_for_bit(case):
-    plan, envelope, depth = case
+def test_event_samples_equal_the_formula_bit_for_bit(plan):
     [event] = plan.events
-    [samples] = list(_render_events(plan, envelope, depth, SAMPLE_RATE))
+    envelope, depth = plan.envelope, plan.modulation_depth
+    [samples] = list(_render_events(plan))
     specs = [
         ToneSpec(note_frequency(plan.system, note, octave), event.duration)
         for note, octave in event.notes
@@ -318,12 +333,12 @@ def test_event_samples_equal_the_mix_of_shape_note_bit_for_bit(case):
     if not specs:
         assert np.array_equal(samples, np.zeros(round(SAMPLE_RATE * event.duration)))
         return
-    mixed = mix_chord([shape_note(spec, envelope, depth) for spec in specs])
-    assert np.array_equal(samples, mixed.samples)
     formula = np.zeros(len(samples))
     for spec in specs:
-        formula += (1.0 / len(specs)) * _shape_note_formula(spec, envelope, depth)
+        formula += (1.0 / len(specs)) * _voice_formula(spec, envelope, depth)
     assert np.array_equal(samples, formula)
+    if len(specs) == 1 and envelope is None and depth == 0.0:
+        assert np.array_equal(pure_tone(specs[0]).samples, formula)
 
 
 def test_quantize_rounds_half_away_from_zero_and_clamps():

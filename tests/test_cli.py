@@ -13,7 +13,7 @@ import pytest
 
 import cayleytones
 from cayleytones import audio, counterpoint
-from cayleytones.audio import Envelope, RenderPlan, render, write_wav
+from cayleytones.audio import RenderPlan, render, write_wav
 from cayleytones.cayley import CayleyGraph
 from cayleytones.cli import main
 from cayleytones.counterpoint import (
@@ -76,7 +76,6 @@ def test_public_names_are_exactly_these_and_all_resolve():
         "largest_chord_within_octave",
         "maximal_consonant_extension",
         "minimal_oriented_refinement",
-        "mix_chord",
         "note_frequency",
         "pure_tone",
         "read_wav",
@@ -84,7 +83,6 @@ def test_public_names_are_exactly_these_and_all_resolve():
         "satisfies_strong",
         "satisfies_weak",
         "scale",
-        "shape_note",
         "strong_search_report",
         "sumset",
         "system_from_factors",
@@ -598,6 +596,15 @@ def test_validate_rejects_non_finite_system(capsys, flag, value):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [["circle"], ["scale", "--quality", "major"], ["chords"], ["validate"]]
+)
+def test_system_past_the_modulus_bound_is_refused(capsys, argv):
+    # n = 1009 * 997 = 1,005,973; circle and scale are linear in n.
+    code, out, err = run(capsys, argv[0], "-p", "1009", "-q", "997", *argv[1:])
+    assert (code, out, err) == (2, "", "error: modulus above supported maximum 4096\n")
+
+
 def test_render_into_missing_directory_is_one_line(tmp_path):
     # A subprocess, because the stray traceback this guards against came
     # from a destructor, past what capsys captures.
@@ -688,11 +695,7 @@ def test_render_streams_the_bytes_of_the_in_memory_path(capsys, tmp_path):
     code, out, err, out_path = _render_cli(capsys, tmp_path, STREAM_PLAN)
     assert (code, err) == (0, "")
     assert json.loads(out) == {"out": str(out_path), "samples": 63945, "sample_rate": 44100}
-    buffer = render(
-        RenderPlan.from_dict(STREAM_PLAN),
-        Envelope(**STREAM_PLAN["envelope"]),
-        STREAM_PLAN["modulation_depth"],
-    )
+    buffer = render(RenderPlan.from_dict(STREAM_PLAN))
     reference = tmp_path / "reference.wav"
     write_wav(buffer, reference)
     data = out_path.read_bytes()

@@ -36,6 +36,7 @@ Z6 = system_from_factors(3, 2)
         (dict(n=12, p=3, q=4), "factor_order"),
         (dict(n=8, p=4, q=2), "coprime"),
         (dict(n=13, p=4, q=3), "product"),
+        (dict(n=1009 * 997, p=1009, q=997), "modulus"),
         (dict(n=12, p=4, q=3, s=1.0), "octave"),
         (dict(n=12, p=4, q=3, f0=0.0), "frequency"),
     ],
