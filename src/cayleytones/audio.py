@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import wave
+from collections import deque
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -14,6 +15,8 @@ from .cayley import MAX_MODULUS
 from .music import MusicalSystem, validate_system
 
 SAMPLE_RATE = 44100
+# Samples per block that one render thread makes at a time.
+BLOCK = 32_768
 
 
 class InvalidEnvelopeError(ValueError):
@@ -76,8 +79,28 @@ class SampleBuffer:
         return len(self.samples)
 
 
+def _check_duration(duration: float) -> None:
+    """Raise ValueError unless duration lasts at least one sample."""
+    if round(SAMPLE_RATE * duration) == 0:
+        raise ValueError(
+            f"a {duration} s event is shorter than one sample at {SAMPLE_RATE} Hz"
+        )
+
+
+def _check_frequency(frequency: float, what: str) -> None:
+    """Raise ValueError unless frequency is below the Nyquist frequency
+    SAMPLE_RATE / 2, where it would alias; what names the sound."""
+    if frequency >= SAMPLE_RATE / 2:
+        raise ValueError(
+            f"{what} sounds at {frequency} Hz, "
+            f"not below the Nyquist frequency {SAMPLE_RATE / 2} Hz"
+        )
+
+
 def pure_tone(spec: ToneSpec) -> SampleBuffer:
     """samples[i] = sin(2*pi*f*t_i) with t_i = i / SAMPLE_RATE."""
+    _check_duration(spec.duration)
+    _check_frequency(spec.frequency, "the tone")
     return SampleBuffer(_event_samples(spec.duration, (spec.frequency,), None, 0.0))
 
 
@@ -105,9 +128,13 @@ class Envelope:
                 f"but the note lasts {duration}s"
             )
 
-    def amplitudes(self, t: np.ndarray, duration: float) -> np.ndarray:
+    def amplitudes(
+        self, t: np.ndarray, duration: float, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """The gain at each time in t, written into out if given."""
         self.check_fits(duration)
-        g = np.full(len(t), self.sustain_level, dtype=np.float64)
+        g = np.empty(len(t), dtype=np.float64) if out is None else out
+        g.fill(self.sustain_level)
         if self.attack > 0:
             m = t < self.attack
             g[m] = t[m] / self.attack
@@ -197,11 +224,7 @@ class RenderPlan:
         if not self.events:
             raise ValueError("a render plan needs at least one event")
         for event in self.events:
-            if round(SAMPLE_RATE * event.duration) == 0:
-                raise ValueError(
-                    f"a {event.duration} s event is shorter than one sample "
-                    f"at {SAMPLE_RATE} Hz"
-                )
+            _check_duration(event.duration)
             for note, octave in event.notes:
                 # note_frequency climbs one step per index and per octave, so
                 # both are bounded before its frequency is computed.
@@ -214,11 +237,7 @@ class RenderPlan:
                         f"octave {octave} outside [-{MAX_MODULUS}, {MAX_MODULUS}]"
                     )
                 spec = ToneSpec(note_frequency(self.system, note, octave), event.duration)
-                if spec.frequency >= SAMPLE_RATE / 2:
-                    raise ValueError(
-                        f"note {note} at octave {octave} sounds at {spec.frequency} Hz, "
-                        f"not below the Nyquist frequency {SAMPLE_RATE / 2} Hz"
-                    )
+                _check_frequency(spec.frequency, f"note {note} at octave {octave}")
             if event.notes and self.envelope is not None:
                 self.envelope.check_fits(event.duration)
 
@@ -292,15 +311,84 @@ def envelope_from_dict(data: Optional[dict]) -> Optional[Envelope]:
     )
 
 
-def _render_events(plan: RenderPlan) -> Iterator[np.ndarray]:
-    """Each event's samples in plan order, made one event at a time."""
+def _thread_count() -> int:
+    """The CPUs this process may run on: one render thread each."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _batches(plan: RenderPlan) -> Iterator[list[tuple]]:
+    """The plan's blocks in order, gathered into batches of at most BLOCK
+    samples: (duration, frequencies, start, stop) for each block, where
+    each event is cut into blocks of at most BLOCK samples."""
+    batch, samples = [], 0
     for event in plan.events:
         frequencies = [
             note_frequency(plan.system, note, octave) for note, octave in event.notes
         ]
-        yield _event_samples(
-            event.duration, frequencies, plan.envelope, plan.modulation_depth
+        count = round(SAMPLE_RATE * event.duration)
+        for start in range(0, count, BLOCK):
+            stop = min(start + BLOCK, count)
+            if samples + stop - start > BLOCK:
+                yield batch
+                batch, samples = [], 0
+            batch.append((event.duration, frequencies, start, stop))
+            samples += stop - start
+    yield batch
+
+
+def _render_events(plan: RenderPlan) -> Iterator[np.ndarray]:
+    """The plan's samples in blocks of at most BLOCK, in plan order.
+
+    Batches of blocks (see _batches) are made on one thread per CPU
+    (numpy's sin releases the GIL), at most one batch per thread at a time:
+    the next is sent once the oldest is written. Every array is allocated
+    here, on the calling thread: the time axis, envelope and voice arrays
+    of each batch in flight once, reused batch after batch, and each
+    block's output as it is sent. So memory is set by BLOCK and the thread
+    count, not by the plan, and does not depend on the order in which the
+    threads run. Each sample is made by the same elementwise steps whatever
+    its block, so the output does not depend on the thread count.
+    """
+    # Imported here, as only rendering needs it and it slows every start-up.
+    from concurrent.futures import ThreadPoolExecutor
+
+    threads = _thread_count()
+    size = min(BLOCK, max(round(SAMPLE_RATE * e.duration) for e in plan.events))
+    ramp = np.arange(size, dtype=np.float64)
+    with ThreadPoolExecutor(threads) as pool:
+        pending = deque()  # (blocks being made, their t, g and voice arrays)
+        for batch in _batches(plan):
+            if len(pending) == threads:
+                blocks, scratch = pending.popleft()
+                yield from blocks.result()
+            else:
+                scratch = np.empty((3, size))
+            works = [
+                (ramp, *scratch, np.empty(stop - start)) for *_, start, stop in batch
+            ]
+            blocks = pool.submit(
+                _make_blocks, batch, works, plan.envelope, plan.modulation_depth
+            )
+            pending.append((blocks, scratch))
+        while pending:
+            yield from pending.popleft()[0].result()
+
+
+def _make_blocks(
+    batch: list[tuple],
+    works: list[tuple],
+    envelope: Optional[Envelope],
+    modulation_depth: float,
+) -> list[np.ndarray]:
+    """Each block of a batch, made in turn in its work arrays."""
+    return [
+        _event_samples(
+            duration, frequencies, envelope, modulation_depth, start, stop, work
         )
+        for (duration, frequencies, start, stop), work in zip(batch, works)
+    ]
 
 
 def _event_samples(
@@ -308,21 +396,33 @@ def _event_samples(
     frequencies: Sequence[float],
     envelope: Optional[Envelope],
     modulation_depth: float,
+    start: int = 0,
+    stop: Optional[int] = None,
+    work: Optional[tuple[np.ndarray, ...]] = None,
 ) -> np.ndarray:
-    """One event's samples: the equal mix of its voices, or silence.
+    """Samples start to stop (by default all) of one event: the equal mix
+    of its voices, or silence.
 
-    The time axis and the envelope are made once for all voices, which
-    share the event's duration, and each voice is added to the mix as soon
-    as it is made.
+    The block is made in work, float64 arrays (ramp, t, g, voice, mixed) of
+    at least stop - start samples with ramp[k] = k, or in new ones. The
+    time axis and the envelope are made once for all voices, which share
+    the event's duration, and each voice is added to the mix as soon as it
+    is made. The result is the start of mixed.
     """
-    count = round(SAMPLE_RATE * duration)
-    mixed = np.zeros(count, dtype=np.float64)
+    if stop is None:
+        stop = round(SAMPLE_RATE * duration)
+    count = stop - start
+    if work is None:
+        work = (np.arange(count, dtype=np.float64), *np.empty((4, count)))
+    ramp, t, g, voice, mixed = (array[:count] for array in work)
+    mixed.fill(0.0)
     if not frequencies:
         return mixed
-    t = np.arange(count) / SAMPLE_RATE
-    g = None if envelope is None else envelope.amplitudes(t, duration)
+    # (k + start) / rate is exact in k + start, so this is arange / rate.
+    np.add(ramp, start, out=t)
+    np.divide(t, SAMPLE_RATE, out=t)
+    g = None if envelope is None else envelope.amplitudes(t, duration, out=g)
     weight = 1.0 / len(frequencies)
-    voice = np.empty(count, dtype=np.float64)
     for frequency in frequencies:
         _voice(voice, t, g, frequency, modulation_depth)
         np.multiply(voice, weight, out=voice)

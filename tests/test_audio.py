@@ -1,5 +1,7 @@
 """Tone generation, envelopes, mixing, rendering, WAV round-trips."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from cayleytones.audio import (
     _event_samples,
     _quantize,
     _render_events,
+    _thread_count,
 )
 from cayleytones.music import system_from_factors
 
@@ -49,6 +52,20 @@ def test_pure_tone_spectral_peak():
     spectrum = np.abs(np.fft.rfft(buf.samples))
     peak = np.fft.rfftfreq(len(buf), 1.0 / SAMPLE_RATE)[int(np.argmax(spectrum))]
     assert abs(peak - 440.0) < 1.0
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        pytest.param(ToneSpec(440.0, 1e-6), "shorter than one sample", id="sub-sample"),
+        pytest.param(
+            ToneSpec(30000.0, 0.01), "not below the Nyquist frequency", id="above-nyquist"
+        ),
+    ],
+)
+def test_pure_tone_makes_the_render_plan_checks(spec, message):
+    with pytest.raises(ValueError, match=message):
+        pure_tone(spec)
 
 
 def test_tone_spec_validation():
@@ -310,7 +327,8 @@ def _one_event_plans(draw):
         st.lists(st.tuples(st.integers(0, p * q - 1), st.integers(-1, 1)), max_size=8)
     )
     kind = "rest" if not notes else "note" if len(notes) == 1 else "chord"
-    duration = draw(st.floats(0.05, 0.3))
+    # Up to 88,200 samples, so an event may span three blocks.
+    duration = draw(st.floats(0.05, 2.0))
     # Each segment at most 0.015 s, so the envelope fits every drawn duration.
     segment = st.floats(0.0, 0.015)
     envelope = draw(
@@ -325,7 +343,7 @@ def _one_event_plans(draw):
 def test_event_samples_equal_the_formula_bit_for_bit(plan):
     [event] = plan.events
     envelope, depth = plan.envelope, plan.modulation_depth
-    [samples] = list(_render_events(plan))
+    samples = np.concatenate(list(_render_events(plan)))
     specs = [
         ToneSpec(note_frequency(plan.system, note, octave), event.duration)
         for note, octave in event.notes
@@ -339,6 +357,15 @@ def test_event_samples_equal_the_formula_bit_for_bit(plan):
     assert np.array_equal(samples, formula)
     if len(specs) == 1 and envelope is None and depth == 0.0:
         assert np.array_equal(pure_tone(specs[0]).samples, formula)
+
+
+def test_thread_count_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _thread_count() == 3
+    # os.cpu_count() is None where the count cannot be found.
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _thread_count() == 1
 
 
 def test_quantize_rounds_half_away_from_zero_and_clamps():

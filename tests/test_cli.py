@@ -721,6 +721,77 @@ def test_render_peak_memory_does_not_grow_with_plan_length(capsys, tmp_path):
     assert peaks[1] <= 1.25 * peaks[0]
 
 
+def _chord_plan(duration):
+    """One chord of eight voices, with STREAM_PLAN's envelope and FM."""
+    notes = [0, 2, 4, 5, 7, 9, 11, {"note": 0, "octave": 1}]
+    return dict(STREAM_PLAN, events=[{"kind": "chord", "duration": duration, "notes": notes}])
+
+
+def test_render_peak_memory_does_not_grow_with_event_length(capsys, tmp_path):
+    peaks = []
+    for name, seconds in (("short.wav", 8.0), ("long.wav", 60.0)):
+        tracemalloc.start()
+        try:
+            code, *_ = _render_cli(capsys, tmp_path, _chord_plan(seconds), name)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+# A chord of three blocks and a note of two, between a note and a rest.
+MULTI_BLOCK_PLAN = dict(
+    STREAM_PLAN,
+    events=[
+        {"kind": "note", "duration": 0.3, "notes": [2]},
+        {"kind": "chord", "duration": 2.0, "notes": [0, 4, 7, {"note": 11, "octave": -1}]},
+        {"kind": "rest", "duration": 0.1},
+        {"kind": "note", "duration": 0.9, "notes": [{"note": 9, "octave": 1}]},
+    ],
+)
+
+
+def _whole_event_wav(plan, path):
+    """The plan's WAV made on this thread, each event in one piece."""
+    plan = RenderPlan.from_dict(plan)
+    pieces = [
+        audio._event_samples(
+            event.duration,
+            [audio.note_frequency(plan.system, *note) for note in event.notes],
+            plan.envelope,
+            plan.modulation_depth,
+        )
+        for event in plan.events
+    ]
+    write_wav(audio.SampleBuffer(np.concatenate(pieces)), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("plan", [STREAM_PLAN, MULTI_BLOCK_PLAN], ids=["stream", "multi-block"])
+def test_render_bytes_do_not_depend_on_the_thread_count(
+    capsys, tmp_path, monkeypatch, plan, threads
+):
+    assert round(2.0 * audio.SAMPLE_RATE) > 2 * audio.BLOCK
+    monkeypatch.setattr(audio, "_thread_count", lambda: threads)
+    # Switching threads as often as possible exposes a block read before
+    # it is made or a work array shared by two blocks.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        code, out, err, out_path = _render_cli(capsys, tmp_path, plan)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (code, err) == (0, "")
+    data = out_path.read_bytes()
+    assert data == _whole_event_wav(plan, tmp_path / "serial.wav")
+    if plan is STREAM_PLAN:
+        assert hashlib.sha256(data).hexdigest() == (
+            "e82051fb90005fc66c06152d0da095b80f1a5eb5136dbf448ee99bdb3862beaf"
+        )
+
+
 @pytest.mark.parametrize(
     "bad_event",
     [
@@ -756,13 +827,14 @@ def test_render_checks_the_whole_plan_before_any_synthesis(
 def test_render_removes_the_file_when_a_later_event_is_not_finite(
     capsys, tmp_path, monkeypatch
 ):
-    calls = []
     real = audio._event_samples
+    second = STREAM_PLAN["events"][1]["duration"]
 
     def poisoned(*args):
-        calls.append(args)
         samples = real(*args)
-        if len(calls) == 2:
+        # The second event's block, by its arguments: blocks are made on
+        # several threads, so the order of the calls is not fixed.
+        if args[0] == second:
             samples[-1] = np.nan
         return samples
 
