@@ -344,51 +344,67 @@ def _render_events(plan: RenderPlan) -> Iterator[np.ndarray]:
     Batches of blocks (see _batches) are made on one thread per CPU
     (numpy's sin releases the GIL), at most one batch per thread at a time:
     the next is sent once the oldest is written. Every array is allocated
-    here, on the calling thread: the time axis, envelope and voice arrays
-    of each batch in flight once, reused batch after batch, and each
-    block's output as it is sent. So memory is set by BLOCK and the thread
-    count, not by the plan, and does not depend on the order in which the
-    threads run. Each sample is made by the same elementwise steps whatever
-    its block, so the output does not depend on the thread count.
+    here, on the calling thread, before the first batch is sent: one set of
+    time axis, envelope, voice and output arrays per thread, reused batch
+    after batch, and each block is copied out of its set as it is yielded.
+    So memory is set by BLOCK and the thread count, not by the plan or the
+    order in which the threads run. Each sample is made by the same
+    elementwise steps whatever its block, so the output does not depend on
+    the thread count.
     """
     # Imported here, as only rendering needs it and it slows every start-up.
     from concurrent.futures import ThreadPoolExecutor
 
     threads = _thread_count()
-    size = min(BLOCK, max(round(SAMPLE_RATE * e.duration) for e in plan.events))
-    ramp = np.arange(size, dtype=np.float64)
+    counts = [round(SAMPLE_RATE * event.duration) for event in plan.events]
+    # The time axis, envelope and voice hold one block; the output one batch.
+    block, batch_size = min(BLOCK, max(counts)), min(BLOCK, sum(counts))
+    ramp = np.arange(block, dtype=np.float64)
+    works = [(*np.empty((3, block)), np.empty(batch_size)) for _ in range(threads)]
     with ThreadPoolExecutor(threads) as pool:
-        pending = deque()  # (blocks being made, their t, g and voice arrays)
-        for batch in _batches(plan):
+        pending = deque()
+        for i, batch in enumerate(_batches(plan)):
             if len(pending) == threads:
-                blocks, scratch = pending.popleft()
-                yield from blocks.result()
-            else:
-                scratch = np.empty((3, size))
-            works = [
-                (ramp, *scratch, np.empty(stop - start)) for *_, start, stop in batch
-            ]
-            blocks = pool.submit(
-                _make_blocks, batch, works, plan.envelope, plan.modulation_depth
+                yield from (piece.copy() for piece in pending.popleft().result())
+            # Set i % threads last served batch i - threads, copied out above.
+            pending.append(
+                pool.submit(
+                    _make_blocks,
+                    batch,
+                    (ramp, *works[i % threads]),
+                    plan.envelope,
+                    plan.modulation_depth,
+                )
             )
-            pending.append((blocks, scratch))
         while pending:
-            yield from pending.popleft()[0].result()
+            yield from (piece.copy() for piece in pending.popleft().result())
 
 
 def _make_blocks(
     batch: list[tuple],
-    works: list[tuple],
+    work: tuple[np.ndarray, ...],
     envelope: Optional[Envelope],
     modulation_depth: float,
 ) -> list[np.ndarray]:
-    """Each block of a batch, made in turn in its work arrays."""
-    return [
-        _event_samples(
-            duration, frequencies, envelope, modulation_depth, start, stop, work
+    """Each block of a batch, made in turn in the work arrays (ramp, t, g,
+    voice, output) and laid end to end in output."""
+    *scratch, output = work
+    pieces, offset = [], 0
+    for duration, frequencies, start, stop in batch:
+        mixed = output[offset : offset + stop - start]
+        pieces.append(
+            _event_samples(
+                duration,
+                frequencies,
+                envelope,
+                modulation_depth,
+                start,
+                stop,
+                (*scratch, mixed),
+            )
         )
-        for (duration, frequencies, start, stop), work in zip(batch, works)
-    ]
+        offset += stop - start
+    return pieces
 
 
 def _event_samples(
@@ -413,7 +429,8 @@ def _event_samples(
         stop = round(SAMPLE_RATE * duration)
     count = stop - start
     if work is None:
-        work = (np.arange(count, dtype=np.float64), *np.empty((4, count)))
+        ramp = np.arange(count, dtype=np.float64)
+        work = (ramp, *np.empty((3, count)), np.empty(count))
     ramp, t, g, voice, mixed = (array[:count] for array in work)
     mixed.fill(0.0)
     if not frequencies:

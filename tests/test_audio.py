@@ -68,6 +68,14 @@ def test_pure_tone_makes_the_render_plan_checks(spec, message):
         pure_tone(spec)
 
 
+def test_pure_tone_holds_only_its_samples():
+    samples = pure_tone(ToneSpec(440.0, 0.1)).samples
+    owner = samples
+    while owner.base is not None:
+        owner = owner.base
+    assert owner.nbytes == samples.nbytes
+
+
 def test_tone_spec_validation():
     with pytest.raises(ValueError):
         ToneSpec(0.0, 1.0)

@@ -727,17 +727,42 @@ def _chord_plan(duration):
     return dict(STREAM_PLAN, events=[{"kind": "chord", "duration": duration, "notes": notes}])
 
 
-def test_render_peak_memory_does_not_grow_with_event_length(capsys, tmp_path):
+def _peaks(capsys, tmp_path, plans):
+    """The tracemalloc peak of rendering each plan through the CLI."""
     peaks = []
-    for name, seconds in (("short.wav", 8.0), ("long.wav", 60.0)):
+    for i, plan in enumerate(plans):
         tracemalloc.start()
         try:
-            code, *_ = _render_cli(capsys, tmp_path, _chord_plan(seconds), name)
+            code, *_ = _render_cli(capsys, tmp_path, plan, f"{i}.wav")
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         assert code == 0
-    assert peaks[1] <= 1.25 * peaks[0]
+    return peaks
+
+
+def test_render_peak_memory_does_not_grow_with_event_length(capsys, tmp_path):
+    short, long = _peaks(capsys, tmp_path, [_chord_plan(8.0), _chord_plan(60.0)])
+    assert long <= 1.25 * short
+
+
+# Render threads hold memory whether or not a plan has a batch for each,
+# so a short plan must not hold less for having fewer batches than threads.
+@pytest.mark.parametrize("threads", [1, 4, 16])
+@pytest.mark.parametrize(
+    "plans",
+    [
+        [STREAM_PLAN, dict(STREAM_PLAN, events=STREAM_PLAN["events"] * 4)],
+        [_chord_plan(8.0), _chord_plan(60.0)],
+    ],
+    ids=["plan-length", "event-length"],
+)
+def test_render_peak_memory_bounds_hold_whatever_the_thread_count(
+    capsys, tmp_path, monkeypatch, plans, threads
+):
+    monkeypatch.setattr(audio, "_thread_count", lambda: threads)
+    short, long = _peaks(capsys, tmp_path, plans)
+    assert long <= 1.25 * short
 
 
 # A chord of three blocks and a note of two, between a note and a rest.
@@ -768,7 +793,7 @@ def _whole_event_wav(plan, path):
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("threads", [1, 4, 16])
 @pytest.mark.parametrize("plan", [STREAM_PLAN, MULTI_BLOCK_PLAN], ids=["stream", "multi-block"])
 def test_render_bytes_do_not_depend_on_the_thread_count(
     capsys, tmp_path, monkeypatch, plan, threads
