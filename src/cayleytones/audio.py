@@ -7,12 +7,15 @@ import os
 import wave
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .cayley import MAX_MODULUS
 from .music import MusicalSystem, validate_system
+
+# numpy is imported inside each function that uses it, so that the
+# subcommands that make no audio start without it; annotations name it only.
+if TYPE_CHECKING:
+    import numpy as np
 
 SAMPLE_RATE = 44100
 # Samples per block that one render thread makes at a time.
@@ -71,6 +74,8 @@ class SampleBuffer:
     sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         samples = np.asarray(self.samples, dtype=np.float64)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
@@ -131,19 +136,31 @@ class Envelope:
     def amplitudes(
         self, t: np.ndarray, duration: float, out: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """The gain at each time in t, written into out if given."""
+        """The gain at each time in t, written into out if given.
+
+        t must be non-decreasing, as every time axis here is, so that each
+        segment is one slice of it; a t that is not is refused with
+        ValueError. Attack, decay and release are written in that order, a
+        later segment over an earlier one where they meet.
+        """
+        import numpy as np
+
         self.check_fits(duration)
+        if not (t[1:] >= t[:-1]).all():
+            raise ValueError("envelope times must be non-decreasing")
+        a, d, r = np.searchsorted(
+            t, (self.attack, self.attack + self.decay, duration - self.release)
+        )
         g = np.empty(len(t), dtype=np.float64) if out is None else out
         g.fill(self.sustain_level)
         if self.attack > 0:
-            m = t < self.attack
-            g[m] = t[m] / self.attack
+            g[:a] = t[:a] / self.attack
         if self.decay > 0:
-            m = (t >= self.attack) & (t < self.attack + self.decay)
-            g[m] = 1.0 - (1.0 - self.sustain_level) * (t[m] - self.attack) / self.decay
+            g[a:d] = (
+                1.0 - (1.0 - self.sustain_level) * (t[a:d] - self.attack) / self.decay
+            )
         if self.release > 0:
-            m = t >= duration - self.release
-            g[m] = self.sustain_level * (duration - t[m]) / self.release
+            g[r:] = self.sustain_level * (duration - t[r:]) / self.release
         return g
 
 
@@ -159,6 +176,8 @@ def _voice(
     The steps, in this order, fix every output bit: phase*t, sin, depth*,
     t+, phase*, sin, then g*.
     """
+    import numpy as np
+
     phase = 2.0 * np.pi * frequency
     np.multiply(t, phase, out=out)
     # t + 0 * sin(...) is t, so a zero depth skips the inner sin bit-exactly.
@@ -355,6 +374,8 @@ def _render_events(plan: RenderPlan) -> Iterator[np.ndarray]:
     # Imported here, as only rendering needs it and it slows every start-up.
     from concurrent.futures import ThreadPoolExecutor
 
+    import numpy as np
+
     threads = _thread_count()
     counts = [round(SAMPLE_RATE * event.duration) for event in plan.events]
     # The time axis, envelope and voice hold one block; the output one batch.
@@ -425,6 +446,8 @@ def _event_samples(
     the event's duration, and each voice is added to the mix as soon as it
     is made. The result is the start of mixed.
     """
+    import numpy as np
+
     if stop is None:
         stop = round(SAMPLE_RATE * duration)
     count = stop - start
@@ -449,21 +472,26 @@ def _event_samples(
 
 def render(plan: RenderPlan) -> SampleBuffer:
     """Concatenate per-event buffers; rests render as silence."""
+    import numpy as np
+
     return SampleBuffer(np.concatenate(list(_render_events(plan))))
 
 
 def _quantize(samples: np.ndarray) -> np.ndarray:
     """Round half away from zero to int16, clamping to the valid range.
 
-    Works in place on one scaled copy: sign, then floor(|x| + 0.5), then
-    the sign put back.
+    Works in place on one scaled copy: floor(|x| * 32767 + 0.5), then the
+    sign of x put back (so -0.0 stays -0.0 and quantizes to 0). x is finite:
+    _write_pieces checks that first. Each step is a plain ufunc, which
+    releases the GIL to the render threads.
     """
-    scaled = samples * 32767.0
-    negative = np.signbit(scaled)
-    np.abs(scaled, out=scaled)
+    import numpy as np
+
+    scaled = np.abs(samples)
+    scaled *= 32767.0
     scaled += 0.5
     np.floor(scaled, out=scaled)
-    np.negative(scaled, out=scaled, where=negative)
+    np.copysign(scaled, samples, out=scaled)
     np.clip(scaled, -32768, 32767, out=scaled)
     return scaled.astype("<i2")
 
@@ -475,6 +503,8 @@ def _write_pieces(pieces: Iterable[np.ndarray], sample_rate: int, path) -> int:
     at a time. If anything fails once the file is open, including a piece
     that is not finite, the partial file is removed and the error re-raised.
     """
+    import numpy as np
+
     frames = 0
     # Opening the file first keeps a bad path to the one OSError: given a
     # path it cannot open, wave.open also prints a traceback on cleanup.
@@ -507,6 +537,8 @@ def write_wav(buffer: SampleBuffer, path) -> None:
 
 def read_wav(path) -> SampleBuffer:
     """Read back a mono 16-bit WAV into samples scaled to [-1, 1]."""
+    import numpy as np
+
     with wave.open(str(path), "rb") as handle:
         if handle.getnchannels() != 1 or handle.getsampwidth() != 2:
             raise ValueError("expected mono 16-bit PCM")

@@ -134,6 +134,62 @@ def test_envelope_must_fit_duration():
         env.amplitudes(t, 1.0)
 
 
+def _amplitudes_by_masks(envelope, t, duration):
+    """Envelope.amplitudes as first written, one boolean mask a segment over
+    any t; kept as the reference for the slice code."""
+    g = np.full(len(t), envelope.sustain_level)
+    if envelope.attack > 0:
+        m = t < envelope.attack
+        g[m] = t[m] / envelope.attack
+    if envelope.decay > 0:
+        m = (t >= envelope.attack) & (t < envelope.attack + envelope.decay)
+        g[m] = (
+            1.0
+            - (1.0 - envelope.sustain_level) * (t[m] - envelope.attack) / envelope.decay
+        )
+    if envelope.release > 0:
+        m = t >= duration - envelope.release
+        g[m] = envelope.sustain_level * (duration - t[m]) / envelope.release
+    return g
+
+
+def _on_grid(least, most):
+    """Times k / SAMPLE_RATE, which can equal a sample's time exactly."""
+    return st.integers(least, most).map(lambda k: k / SAMPLE_RATE)
+
+
+@st.composite
+def _envelope_blocks(draw):
+    """An envelope, a duration it fits, and one block of that duration's
+    time axis, (k + start) / SAMPLE_RATE for k < length, as render makes it."""
+    duration = draw(st.floats(1e-3, 1.0) | _on_grid(44, SAMPLE_RATE))
+    count = round(SAMPLE_RATE * duration)
+    # A quarter each, so that the three segments fit however they round.
+    segment = st.just(0.0) | st.floats(0.0, duration / 4) | _on_grid(0, count // 4)
+    level = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    envelope = draw(st.builds(Envelope, segment, segment, level, segment))
+    start = draw(st.integers(0, count - 1))
+    length = draw(st.integers(0, count - start))
+    t = (np.arange(length, dtype=np.float64) + start) / SAMPLE_RATE
+    return envelope, duration, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(_envelope_blocks(), st.booleans())
+def test_envelope_equals_the_mask_formula_bit_for_bit(block, into_out):
+    envelope, duration, t = block
+    out = np.full(len(t), NAN) if into_out else None
+    g = envelope.amplitudes(t, duration, out=out)
+    assert g.tobytes() == _amplitudes_by_masks(envelope, t, duration).tobytes()
+    assert out is None or g is out
+
+
+@pytest.mark.parametrize("t", [[0.0, 0.2, 0.1], [0.0, NAN, 0.1], [NAN, NAN]])
+def test_envelope_refuses_times_out_of_order(t):
+    with pytest.raises(ValueError, match="^envelope times must be non-decreasing$"):
+        Envelope().amplitudes(np.array(t), 1.0)
+
+
 def test_envelope_validation():
     with pytest.raises(ValueError):
         Envelope(attack=-0.1)
@@ -323,7 +379,7 @@ def _voice_formula(spec, envelope, depth):
     warped = t + depth * np.sin(phase * t) if depth else t
     samples = np.sin(phase * warped)
     if envelope is not None:
-        samples = envelope.amplitudes(t, spec.duration) * samples
+        samples = _amplitudes_by_masks(envelope, t, spec.duration) * samples
     return samples
 
 
@@ -374,6 +430,44 @@ def test_thread_count_falls_back_to_the_cpu_count(monkeypatch):
     # os.cpu_count() is None where the count cannot be found.
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert _thread_count() == 1
+
+
+def _quantize_by_masked_negate(samples):
+    """_quantize as first written: sign of the scaled copy, floor(|x| + 0.5),
+    then a negate where the sign was set; kept as the reference."""
+    scaled = samples * 32767.0
+    negative = np.signbit(scaled)
+    np.abs(scaled, out=scaled)
+    scaled += 0.5
+    np.floor(scaled, out=scaled)
+    np.negative(scaled, out=scaled, where=negative)
+    np.clip(scaled, -32768, 32767, out=scaled)
+    return scaled.astype("<i2")
+
+
+def test_quantize_equals_the_masked_negate_bit_for_bit():
+    # Every rounding tie of the int16 range, with the floats either side.
+    k = np.arange(-32768, 32768, dtype=np.float64)
+    ties = np.concatenate([(k - 0.5) / 32767.0, (k + 0.5) / 32767.0])
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = [0.0, tiny, 2 * tiny, np.finfo(np.float64).tiny / 2, 1e-300]
+    loud = [1.0, 1.0 + 1e-12, 1.5, 2.0, 1e300, np.finfo(np.float64).max]
+    samples = np.concatenate(
+        [
+            ties,
+            np.nextafter(ties, -np.inf),
+            np.nextafter(ties, np.inf),
+            edges,
+            np.negative(edges),
+            loud,
+            np.negative(loud),
+        ]
+    )
+    # The largest overflow to inf when scaled, on both sides alike.
+    with np.errstate(over="ignore"):
+        assert (
+            _quantize(samples).tobytes() == _quantize_by_masked_negate(samples).tobytes()
+        )
 
 
 def test_quantize_rounds_half_away_from_zero_and_clamps():

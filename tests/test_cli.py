@@ -706,6 +706,52 @@ def test_render_streams_the_bytes_of_the_in_memory_path(capsys, tmp_path):
     )
 
 
+# Run with -E, so the child imports the package from src and nothing else.
+NUMPY_FREE_START = """
+import contextlib, hashlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import cayleytones
+from cayleytones import cli
+Z12 = ["-p", "4", "-q", "3"]
+calls = [
+    ["validate", *Z12],
+    ["distance", *Z12, "0", "5"],
+    ["circle", *Z12],
+    ["scale", *Z12, "--quality", "major"],
+    ["chords", *Z12],
+    ["intervals"],
+    ["graph", *Z12],
+] + [
+    ["counterpoint", "search", *Z12, *mode]
+    for mode in ([], ["--weak"], ["--strong"], ["--extend"], ["--maximal"], ["--refine"])
+]
+for argv in calls:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+plan, out = sys.argv[2:]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["render", "--plan", plan, "--out", out]) == 0
+assert "numpy" in sys.modules
+with open(out, "rb") as handle:
+    print(hashlib.sha256(handle.read()).hexdigest())
+"""
+
+
+def test_only_render_imports_numpy(tmp_path):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(STREAM_PLAN))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-E", "-c", NUMPY_FREE_START, src, plan_path, tmp_path / "out.wav"],
+        capture_output=True, text=True, check=False, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "e82051fb90005fc66c06152d0da095b80f1a5eb5136dbf448ee99bdb3862beaf\n"
+    )
+
+
 def test_render_peak_memory_does_not_grow_with_plan_length(capsys, tmp_path):
     # tracemalloc sees numpy's buffers, and only this process's allocations.
     longer = dict(STREAM_PLAN, events=STREAM_PLAN["events"] * 4)
