@@ -436,6 +436,19 @@ def test_intervals_json(capsys):
             ("-p", "4", "-q", "3", "--strong"),
             "1a93f12d58d6a755226cd8eb550d5411c4413be9626d5b03897433878ed0605c",
         ),
+        # The default mode, extend, on the ten even systems n = 10..30.
+        (("-p", "5", "-q", "2"), "19d8b9aeea7d3323deb355ea88d1f3a1ebc8729a4bf9db6af148006c2901457f"),
+        (("-p", "4", "-q", "3"), "1003dcbad5b77e807a144d5efe073ff6bba7e6c20835f9d891c26389ec5ef4bc"),
+        (("-p", "7", "-q", "2"), "f0982a3a00edef9a7c55bdb3cf729778e7db37bcec654ac0147cccb987896dbb"),
+        (("-p", "9", "-q", "2"), "eb0a576be2dc37e5b2753ca0d7ceb4b2d2399348d7c5d8e87cc9c971e90d8d18"),
+        (("-p", "5", "-q", "4"), "3595e5c93a0c65acae894cc70a1ba74611a6dc45e7a5aa36fe9d7fb6219e640a"),
+        (("-p", "11", "-q", "2"), "d470717bc2e197769dad39c4270c2e819828efa0f0cfe00f92411f185aa16864"),
+        (("-p", "8", "-q", "3"), "714dbcc9f68399872e7c8653ce0d9645f0753e267cc2cf4b200615ddf77a9550"),
+        (("-p", "13", "-q", "2"), "5b1d336eecf12461756d312505567ffdd0ae07315ce3477eff9d9f422f22a435"),
+        # 7,072 partitions
+        (("-p", "7", "-q", "4"), "56354defeda22967ea8c9c98f31e9e82b96b6405a47e0ed624573fb681a89f46"),
+        # 15,520 partitions
+        (("-p", "6", "-q", "5"), "6401d794e8e76de907fac9a67a45a299f3f9aee657511071f40eec46d08067f2"),
     ],
 )
 def test_counterpoint_json_bytes_are_pinned(capsys, argv, digest):

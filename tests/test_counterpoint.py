@@ -1,6 +1,7 @@
 """Dichotomy searches: weak/strong witnesses, extensions, refinement."""
 
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from cayleytones.counterpoint import (
     NoStrongDichotomyError,
     PartitionRecord,
     SearchReport,
+    _involutive_isometries,
     enumerate_weak_witnesses,
     extend_to_partitions,
     find_affine_for_partition,
@@ -49,6 +51,10 @@ SMALL_SYSTEMS = [
     for p in range(q + 1, 16)
     if p * q <= 30 and math.gcd(p, q) == 1
 ]
+
+# The same with n <= 22, where every subset of Z_n holding the seed can be
+# listed in about a second.
+ORACLE_SYSTEMS = [(p, q) for p, q in SMALL_SYSTEMS if p * q <= 22]
 
 
 def _keys(maps):
@@ -204,6 +210,81 @@ def test_extension_partitions_really_are_strong():
         )
         T = AffineMap(RING12, record.multiplier, record.offset)
         assert satisfies_strong(T, dichotomy, G12)
+
+
+def test_extension_is_every_half_the_table_sends_off_itself():
+    """All-subsets oracle: every K with the seed and n/2 members, against
+    every involutive isometry, not only the weak witnesses.
+
+    The report must list exactly the K that some map sends off itself, by
+    (h, w, K), with the least such map and how many there are.
+    """
+    for p, q in ORACLE_SYSTEMS:
+        system, seed, graph = _setup(p, q)
+        n, members = system.n, seed.members
+        if n % 2:
+            continue
+        if 2 * len(members) > n:
+            with pytest.raises(ValueError):
+                extend_to_partitions(seed, graph)
+            continue
+        table = _involutive_isometries(seed.generators)
+        expected = []
+        for extra in combinations(sorted(set(range(n)) - members), n // 2 - len(members)):
+            K = members.union(extra)
+            hits = [T for T in table if K.isdisjoint(map(T, K))]
+            if hits:
+                D = set(range(n)) - K
+                expected.append(
+                    (hits[0].multiplier, hits[0].offset, tuple(sorted(K)), tuple(sorted(D)), len(hits))
+                )
+        expected.sort()
+        report = extend_to_partitions(seed, graph)
+        assert [
+            (r.multiplier, r.offset, r.consonant, r.dissonant, r.strong_witness_count)
+            for r in report.partitions
+        ] == expected, (p, q)
+
+
+def test_maximal_extension_is_every_largest_set_kept_off_its_image():
+    """All-subsets oracle for each weak witness T, odd n included: the sets
+    of the seed plus one element per free T-pair that avoid T's fixed
+    points and their own image, with D = T(K), counted as strong against
+    the whole table when they halve Z_n."""
+    for p, q in ORACLE_SYSTEMS:
+        system, seed, graph = _setup(p, q)
+        n, members = system.n, seed.members
+        table = _involutive_isometries(seed.generators)
+        weak = [T for T in table if members.isdisjoint(map(T, members))]
+        if not weak:
+            with pytest.raises(ValueError):
+                maximal_consonant_extension(seed, None, graph)
+            continue
+        assert maximal_consonant_extension(seed, None, graph).witnesses == (weak[0],)
+        for T in weak:
+            fixed = {z for z in range(n) if T(z) == z}
+            free_pairs = {
+                frozenset((z, T(z)))
+                for z in range(n)
+                if T(z) != z and z not in members and T(z) not in members
+            }
+            expected = []
+            for extra in combinations(sorted(set(range(n)) - members), len(free_pairs)):
+                K = members.union(extra)
+                if fixed & K or not K.isdisjoint(map(T, K)):
+                    continue
+                D = set(map(T, K))
+                count = 0
+                if 2 * len(K) == n:
+                    count = sum(set(map(U, K)) == set(range(n)) - K for U in table)
+                expected.append(
+                    (tuple(sorted(K)), tuple(sorted(D)), T.multiplier, T.offset, count)
+                )
+            report = maximal_consonant_extension(seed, T, graph)
+            assert [
+                (r.consonant, r.dissonant, r.multiplier, r.offset, r.strong_witness_count)
+                for r in report.partitions
+            ] == expected, (p, q, T)
 
 
 def test_extension_rejects_odd_modulus():
