@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Iterator, Optional
 
 from .cayley import CayleyGraph, GeneratorSet, is_isometry_by_generators
@@ -203,10 +203,10 @@ def _involutive_isometries(S: GeneratorSet) -> list[AffineMap]:
     ]
 
 
-def _weak_witnesses(
-    table: list[AffineMap], members: frozenset[int]
+def _strong_witnesses(
+    maps: Iterable[AffineMap], K: frozenset[int], D: frozenset[int]
 ) -> list[AffineMap]:
-    return [T for T in table if not (_image(T, members) & members)]
+    return [T for T in maps if _image(T, K) == D]
 
 
 def find_affine_for_partition(
@@ -219,8 +219,9 @@ def find_affine_for_partition(
     S = _metric_generators(G)
     if not dichotomy.is_full_partition:
         raise ValueError("strong condition needs a full partition of Z_n")
-    K, D = dichotomy.consonant, dichotomy.dissonant
-    return [T for T in _involutive_isometries(S) if _image(T, K) == D]
+    return _strong_witnesses(
+        _involutive_isometries(S), dichotomy.consonant, dichotomy.dissonant
+    )
 
 
 def strong_search_report(dichotomy: Dichotomy, G: CayleyGraph) -> SearchReport:
@@ -262,7 +263,7 @@ def enumerate_weak_witnesses(n: int, S: Iterable[int]) -> SearchReport:
     seed = ConsonantSeed(GeneratorSet(ring, tuple(S)))
     members = seed.members
     table = _involutive_isometries(seed.generators)
-    witnesses = _weak_witnesses(table, members)
+    witnesses = [T for T in table if not (_image(T, members) & members)]
     outside = sorted(set(range(n)) - set(sumset(members, members, ring)))
     witness_keys = {(T.multiplier, T.offset) for T in witnesses}
     missing = [w for w in outside if (n - 1, w) not in witness_keys]
@@ -288,22 +289,15 @@ def enumerate_weak_witnesses(n: int, S: Iterable[int]) -> SearchReport:
 def _orbit_pairs(T: AffineMap, seed: frozenset[int]) -> list[tuple[int, int]]:
     """The pairs {z, T(z)}, z != T(z), that avoid the seed and its image."""
     taken = seed | _image(T, seed)
-    return sorted(
-        {
-            tuple(sorted((z, T(z))))
-            for z in range(T.ring.n)
-            if z not in taken and T(z) != z
-        }
-    )
+    return [(z, T(z)) for z in range(T.ring.n) if z not in taken and z < T(z)]
 
 
 def _choices(
-    seed: frozenset[int], pairs: list[tuple[int, int]], k: int
+    seed: frozenset[int], pairs: list[tuple[int, int]]
 ) -> Iterator[frozenset[int]]:
-    """The seed plus one element from each of k of the pairs."""
-    for chosen in combinations(pairs, k):
-        for picks in product(*chosen):
-            yield seed | frozenset(picks)
+    """The seed plus one element from each of the pairs."""
+    for picks in product(*pairs):
+        yield seed | frozenset(picks)
 
 
 def extend_to_partitions(seed: ConsonantSeed, G: CayleyGraph) -> SearchReport:
@@ -311,7 +305,8 @@ def extend_to_partitions(seed: ConsonantSeed, G: CayleyGraph) -> SearchReport:
 
     Every returned partition is re-verified by counting its strong
     witnesses among all weak witnesses rather than trusting the search;
-    a strong witness of K, which holds the seed, is always a weak one.
+    a strong witness of K, which holds the seed, is always a weak one,
+    so an empty count is an error.
     """
     n = seed.ring.n
     if n % 2 == 1:
@@ -324,19 +319,23 @@ def extend_to_partitions(seed: ConsonantSeed, G: CayleyGraph) -> SearchReport:
     needed = n // 2 - len(members)
     if needed < 0:
         raise ValueError("seed larger than half of Z_n")
-    found: dict[frozenset[int], list[AffineMap]] = {}
-    subsets_examined = 0
+    found: set[frozenset[int]] = set()
+    subsets_accepted = 0
     for T in weak_report.witnesses:
-        for K in _choices(members, _orbit_pairs(T, members), needed):
-            subsets_examined += 1
-            found.setdefault(K, []).append(T)
-    # A strong witness of K sends the seed inside K onto D, off the seed.
+        pairs = _orbit_pairs(T, members)
+        # T fixes a residue off the seed and its image: it reaches no half.
+        if len(pairs) != needed:
+            continue
+        found.update(_choices(members, pairs))
+        subsets_accepted += 2**needed
     universe = frozenset(range(n))
     records = []
-    for K, producers in found.items():
+    for K in found:
         D = universe - K
-        strong = [T for T in weak_report.witnesses if _image(T, K) == D]
-        best = min(strong or producers, key=AffineMap.sort_key)
+        strong = _strong_witnesses(weak_report.witnesses, K, D)
+        if not strong:
+            raise AssertionError(f"K={sorted(K)} has no strong witness")
+        best = strong[0]
         records.append(
             PartitionRecord(
                 tuple(sorted(K)),
@@ -349,7 +348,7 @@ def extend_to_partitions(seed: ConsonantSeed, G: CayleyGraph) -> SearchReport:
     records.sort(key=lambda r: (r.multiplier, r.offset, r.consonant))
     notes = weak_report.notes + (
         f"half-partition extensions found: {len(records)}",
-        f"extension subsets accepted across witnesses: {subsets_examined}",
+        f"extension subsets accepted across witnesses: {subsets_accepted}",
     )
     return SearchReport(
         n,
@@ -372,7 +371,7 @@ def maximal_consonant_extension(
     _check_graph_of_seed(seed, G)
     members = seed.members
     n = seed.ring.n
-    candidates = _weak_witnesses(_involutive_isometries(seed.generators), members)
+    candidates = enumerate_weak_witnesses(n, seed.generators.elements).witnesses
     if T is None:
         if not candidates:
             raise ValueError(f"Z_{n} admits no weak witness to extend")
@@ -381,11 +380,11 @@ def maximal_consonant_extension(
         raise ValueError("the supplied map does not satisfy the weak condition")
     pairs = _orbit_pairs(T, members)
     records = []
-    for K in _choices(members, pairs, len(pairs)):
+    for K in _choices(members, pairs):
         D = _image(T, K)
         strong = 0
         if len(K) + len(D) == n:
-            strong = sum(_image(U, K) == D for U in candidates)
+            strong = len(_strong_witnesses(candidates, K, D))
         records.append(
             PartitionRecord(
                 tuple(sorted(K)), tuple(sorted(D)), T.multiplier, T.offset, strong

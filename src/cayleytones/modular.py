@@ -47,9 +47,6 @@ class AffineMap:
     def __call__(self, x: int) -> int:
         return (self.multiplier * x + self.offset) % self.ring.n
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.multiplier, self.offset)
-
     def __repr__(self) -> str:
         return f"{self.multiplier}x+{self.offset} (mod {self.ring.n})"
 
