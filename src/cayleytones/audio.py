@@ -18,6 +18,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 SAMPLE_RATE = 44100
+# RIFF sizes are 32-bit: the 36 header bytes and 2 bytes a frame must fit.
+_WAV_MAX_FRAMES = (2**32 - 1 - 36) // 2
 # Samples per block that one render thread makes at a time.
 BLOCK = 32_768
 
@@ -227,7 +229,8 @@ class RenderPlan:
     names its first bad event: every event lasts at least one sample, every
     note is a residue of Z_n at |octave| <= MAX_MODULUS and sounds below the
     Nyquist frequency SAMPLE_RATE / 2, where it would alias, and the
-    envelope fits inside every sounding event.
+    envelope fits inside every sounding event. Last, the whole plan must
+    fit in one WAV file.
     """
 
     system: MusicalSystem
@@ -259,6 +262,12 @@ class RenderPlan:
                 _check_frequency(spec.frequency, f"note {note} at octave {octave}")
             if event.notes and self.envelope is not None:
                 self.envelope.check_fits(event.duration)
+        frames = sum(round(SAMPLE_RATE * event.duration) for event in self.events)
+        if frames > _WAV_MAX_FRAMES:
+            raise ValueError(
+                f"the plan lasts {frames} samples; "
+                f"a WAV file holds at most {_WAV_MAX_FRAMES}"
+            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "RenderPlan":

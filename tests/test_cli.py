@@ -533,6 +533,11 @@ def test_output_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The most frames a WAV file holds: its 32-bit RIFF size counts 36 header
+# bytes and 2 bytes a frame.
+WAV_MAX_FRAMES = 2_147_483_629
+
+
 def _note_plan(**overrides):
     plan = {
         "system": {"p": 4, "q": 3},
@@ -540,6 +545,12 @@ def _note_plan(**overrides):
     }
     plan.update(overrides)
     return plan
+
+
+def _rests_plan(*frame_counts):
+    return _note_plan(
+        events=[{"kind": "rest", "duration": k / audio.SAMPLE_RATE} for k in frame_counts]
+    )
 
 
 @pytest.mark.parametrize(
@@ -586,6 +597,8 @@ def _note_plan(**overrides):
         # an event under one sample, and a note above the Nyquist frequency
         json.dumps(_note_plan(events=[{"kind": "note", "duration": 1e-5, "notes": [0]}])),
         json.dumps(_note_plan(system={"p": 4, "q": 3, "f0": 30000})),
+        # one sample past what a WAV file holds, refused before any audio
+        json.dumps(_rests_plan(WAV_MAX_FRAMES, 1)),
     ],
 )
 def test_render_rejects_malformed_or_non_finite_plans(capsys, tmp_path, plan_text):
@@ -676,6 +689,11 @@ def test_render_refuses_a_note_ladder_past_the_bound_at_once(tmp_path, plan, mes
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
     assert not out_path.exists()
+
+
+def test_render_plan_up_to_the_wav_size_limit_builds():
+    plan = RenderPlan.from_dict(_rests_plan(WAV_MAX_FRAMES))
+    assert round(audio.SAMPLE_RATE * plan.events[0].duration) == WAV_MAX_FRAMES
 
 
 # Notes, chords of three and four voices, a rest, an envelope and FM.
