@@ -319,14 +319,16 @@ def extend_to_partitions(seed: ConsonantSeed, G: CayleyGraph) -> SearchReport:
     needed = n // 2 - len(members)
     if needed < 0:
         raise ValueError("seed larger than half of Z_n")
-    found: set[frozenset[int]] = set()
+    # A dict used as a set: it keeps the halves in the order they are found,
+    # nearly the report's order, which keeps the recount and the sort cheap.
+    found: dict[frozenset[int], None] = {}
     subsets_accepted = 0
     for T in weak_report.witnesses:
         pairs = _orbit_pairs(T, members)
         # T fixes a residue off the seed and its image: it reaches no half.
         if len(pairs) != needed:
             continue
-        found.update(_choices(members, pairs))
+        found.update(dict.fromkeys(_choices(members, pairs)))
         subsets_accepted += 2**needed
     universe = frozenset(range(n))
     records = []
