@@ -219,9 +219,8 @@ def find_affine_for_partition(
     S = _metric_generators(G)
     if not dichotomy.is_full_partition:
         raise ValueError("strong condition needs a full partition of Z_n")
-    return _strong_witnesses(
-        _involutive_isometries(S), dichotomy.consonant, dichotomy.dissonant
-    )
+    K, D = dichotomy.consonant, dichotomy.dissonant
+    return _strong_witnesses(_involutive_isometries(S), K, D)
 
 
 def strong_search_report(dichotomy: Dichotomy, G: CayleyGraph) -> SearchReport:
