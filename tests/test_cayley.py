@@ -79,6 +79,44 @@ def test_is_generating_matches_reachability_on_every_subset(n):
             assert GeneratorSet(ModRing(n), steps).is_generating() == expected, steps
 
 
+def _fewest_steps_from(n, source, steps):
+    """Breadth-first search from source: fewest steps to each reached residue."""
+    found, frontier = {source: 0}, [source]
+    while frontier:
+        following = []
+        for v in frontier:
+            for s in steps:
+                u = (v + s) % n
+                if u not in found:
+                    found[u] = found[v] + 1
+                    following.append(u)
+        frontier = following
+    return found
+
+
+def _assert_matches_reference(query, n, steps):
+    for a in range(n):
+        fewest = _fewest_steps_from(n, a, steps)
+        for b in range(n):
+            if b in fewest:
+                assert query(a, b) == fewest[b], (a, b)
+            else:
+                with pytest.raises(UnreachableVertexError):
+                    query(a, b)
+
+
+# (6, (3, 2)) oriented is the directed Z_6 graph on steps 2 and 3; (3, 9)
+# does not generate Z_12, so most pairs there are unreachable.
+@pytest.mark.parametrize("n,factors", SYSTEMS + [(12, (3, 9))])
+@pytest.mark.parametrize("oriented", [False, True])
+def test_distances_match_a_search_from_every_source(n, factors, oriented):
+    G = CayleyGraph(GeneratorSet(ModRing(n), factors), oriented=oriented)
+    both_ways = [s for p in factors for s in (p, -p)]
+    _assert_matches_reference(G.distance, n, both_ways)
+    if oriented:
+        _assert_matches_reference(G.oriented_path_length, n, factors)
+
+
 def test_distance_examples():
     G = CayleyGraph(_symmetric_set(10, 5, 2), oriented=False)
     assert G.distance(0, 6) == 2
