@@ -144,6 +144,24 @@ def test_unreachable_vertex_raises():
     G = CayleyGraph(GeneratorSet(ModRing(12), (3, 9)), oriented=False)
     with pytest.raises(UnreachableVertexError):
         G.distance(0, 1)
+    # The message names the vertices reduced mod n.
+    oriented = CayleyGraph(GeneratorSet(ModRing(12), (3, 9)), oriented=True)
+    with pytest.raises(UnreachableVertexError, match="^no oriented path from 0 to 1$"):
+        oriented.oriented_path_length(0, 1)
+    with pytest.raises(UnreachableVertexError, match="^no path from 0 to 1$"):
+        oriented.distance(12, 13)
+
+
+def test_oriented_path_length_requires_an_oriented_graph():
+    G = CayleyGraph(GeneratorSet(ModRing(12), (3, 9)), oriented=False)
+    with pytest.raises(ValueError, match="^oriented path length requires an oriented graph$"):
+        G.oriented_path_length(0, 3)
+
+
+def test_bruteforce_refuses_a_map_off_the_residues():
+    G = CayleyGraph(GeneratorSet(ModRing(12), (3, 9)), oriented=True)
+    with pytest.raises(ValueError, match="^map must send residues to residues$"):
+        is_isometry_bruteforce(G, lambda x: x + 12)
 
 
 def test_modulus_cap():
@@ -179,6 +197,8 @@ def test_generator_criterion_requires_symmetric_generating_set():
         is_isometry_by_generators(AffineMap(ring, 5, 0), GeneratorSet(ring, (3, 4)))
     with pytest.raises(GeneratorSetError):
         is_isometry_by_generators(AffineMap(ring, 5, 0), GeneratorSet(ring, (3, 9)))
+    with pytest.raises(ValueError, match="^map and generator set use different moduli$"):
+        is_isometry_by_generators(AffineMap(ModRing(10), 3, 0), _symmetric_set(12, 4, 3))
 
 
 @pytest.mark.parametrize("n,factors", [s for s in SYSTEMS if s[0] <= 15])

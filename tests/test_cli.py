@@ -259,6 +259,15 @@ def test_counterpoint_strong_refuses_an_empty_consonant_list(capsys, text):
     assert err == "error: --consonants needs at least one residue\n"
 
 
+def test_counterpoint_strong_refuses_an_unparsable_consonant_list(capsys):
+    code, out, err = run(
+        capsys,
+        "counterpoint", "search", "--strong", "-p", "4", "-q", "3",
+        "--consonants", "1,x",
+    )
+    assert (code, out, err) == (2, "", "error: could not parse residue list '1,x'\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -599,6 +608,10 @@ def _rests_plan(*frame_counts):
         json.dumps(_note_plan(system={"p": 4, "q": 3, "f0": 30000})),
         # one sample past what a WAV file holds, refused before any audio
         json.dumps(_rests_plan(WAV_MAX_FRAMES, 1)),
+        # a plan with no events, and chords with no notes
+        json.dumps(_note_plan(events=[])),
+        json.dumps(_note_plan(events=[{"kind": "chord", "duration": 0.1, "notes": []}])),
+        json.dumps(_note_plan(events=[{"kind": "chord", "duration": 0.1}])),
     ],
 )
 def test_render_rejects_malformed_or_non_finite_plans(capsys, tmp_path, plan_text):

@@ -69,6 +69,8 @@ def test_triads():
 def test_triad_rejects_unknown_quality():
     with pytest.raises(ValueError):
         triad(Z12, 0, "sus4")
+    with pytest.raises(ValueError):
+        largest_chord_within_octave(Z12, 0, "dim")
 
 
 def test_chord_from_steps_examples():
@@ -147,6 +149,8 @@ def test_trivial_circle():
 def test_circle_rejects_foreign_pair():
     with pytest.raises(ValueError):
         circle_of_fifths(Z12, pair=(5, 4))
+    with pytest.raises(ValueError, match="^step 8 does not cycle through Z_12$"):
+        circle_of_fifths(Z12, pair=(4, 4))
 
 
 @pytest.mark.parametrize("p,q", [(4, 3), (5, 2), (5, 3), (6, 5), (15, 2), (25, 8), (31, 27)])
