@@ -8,7 +8,9 @@ from dataclasses import dataclass
 
 from .modular import AffineMap, ModRing
 
-# All-pairs distance tables stay small up to this modulus; far beyond musical use.
+# Far beyond musical use. The bound keeps quick the loops over every residue,
+# the note-frequency ladder RenderPlan climbs one step and one octave at a
+# time, and the all-pairs comparison in is_isometry_bruteforce.
 MAX_MODULUS = 4096
 
 
@@ -60,13 +62,28 @@ class GeneratorSet:
         return len(self.elements)
 
 
+def _word_lengths(n: int, steps: tuple[int, ...]) -> list[int]:
+    """Fewest steps summing to each residue, or -1 where no sum reaches it:
+    one search from 0, read at (b - a) mod n for the path from a to b."""
+    lengths = [-1] * n
+    lengths[0] = 0
+    frontier = deque([0])
+    while frontier:
+        v = frontier.popleft()
+        for w in steps:
+            u = (v + w) % n
+            if lengths[u] < 0:
+                lengths[u] = lengths[v] + 1
+                frontier.append(u)
+    return lengths
+
+
 class CayleyGraph:
     """Graph on Z_n with an edge g -> g+w per step w.
 
     An unoriented graph is the oriented graph over the symmetrized step
     set; dropping arrows and adding inverse steps are the same operation.
-    Immutable after construction except the distance cache, which is
-    filled idempotently (safe for concurrent readers).
+    Immutable: path lengths are read from word lengths made at construction.
     """
 
     def __init__(self, generators: GeneratorSet, oriented: bool = True):
@@ -75,79 +92,44 @@ class CayleyGraph:
         self.ring = generators.ring
         self.generators = generators
         self.oriented = oriented
-        self._steps = (
-            generators.elements if oriented else generators.symmetrized().elements
-        )
-        self._rows: dict[int, list[int]] = {}
-        self._unoriented: "CayleyGraph | None" = None if oriented else self
-
-    @property
-    def steps(self) -> tuple[int, ...]:
-        """The effective step set (symmetrized when unoriented)."""
-        return self._steps
-
-    def unoriented_view(self) -> "CayleyGraph":
-        if self._unoriented is None:
-            self._unoriented = CayleyGraph(self.generators, oriented=False)
-        return self._unoriented
-
-    def _value(self, x: int) -> int:
-        return x % self.ring.n
-
-    def _row(self, source: int) -> list[int]:
-        row = self._rows.get(source)
-        if row is None:
-            n = self.ring.n
-            row = [-1] * n
-            row[source] = 0
-            frontier = deque([source])
-            while frontier:
-                v = frontier.popleft()
-                for w in self._steps:
-                    u = (v + w) % n
-                    if row[u] < 0:
-                        row[u] = row[v] + 1
-                        frontier.append(u)
-            self._rows[source] = row
-        return row
+        n = generators.ring.n
+        symmetric = generators.symmetrized().elements
+        # The effective step set (symmetrized when unoriented).
+        self.steps = generators.elements if oriented else symmetric
+        self._metric = _word_lengths(n, symmetric)
+        self._forward = _word_lengths(n, self.steps) if oriented else self._metric
 
     def distance(self, a: int, b: int) -> int:
         """Shortest unoriented path length; the graph metric d(a, b)."""
-        if self.oriented:
-            return self.unoriented_view().distance(a, b)
-        a, b = self._value(a), self._value(b)
-        d = self._row(a)[b]
+        n = self.ring.n
+        d = self._metric[(b - a) % n]
         if d < 0:
-            raise UnreachableVertexError(f"no path from {a} to {b}")
+            raise UnreachableVertexError(f"no path from {a % n} to {b % n}")
         return d
 
     def oriented_path_length(self, a: int, b: int) -> int:
         """Shortest directed path length; may be asymmetric."""
         if not self.oriented:
             raise ValueError("oriented path length requires an oriented graph")
-        a, b = self._value(a), self._value(b)
-        d = self._row(a)[b]
+        n = self.ring.n
+        d = self._forward[(b - a) % n]
         if d < 0:
-            raise UnreachableVertexError(f"no oriented path from {a} to {b}")
+            raise UnreachableVertexError(f"no oriented path from {a % n} to {b % n}")
         return d
 
 
 def is_isometry_bruteforce(G: CayleyGraph, f) -> bool:
     """Check d(x, y) = d(f(x), f(y)) over all vertex pairs.
 
-    f may be any callable on residues; the graph is queried through its
-    unoriented view.
+    f may be any callable on residues; d is the metric, on oriented graphs too.
     """
-    graph = G.unoriented_view()
-    n = graph.ring.n
+    n = G.ring.n
     image = [f(x) for x in range(n)]
     if any(not isinstance(y, int) or not 0 <= y < n for y in image):
         raise ValueError("map must send residues to residues")
     for x in range(n):
-        row = graph._row(x)
-        frow = graph._row(image[x])
         for y in range(x + 1, n):
-            if row[y] != frow[image[y]]:
+            if G.distance(x, y) != G.distance(image[x], image[y]):
                 return False
     return True
 
