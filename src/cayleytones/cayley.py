@@ -8,9 +8,9 @@ from dataclasses import dataclass
 
 from .modular import AffineMap, ModRing
 
-# Far beyond musical use. The bound keeps quick the loops over every residue,
-# the note-frequency ladder RenderPlan climbs one step and one octave at a
-# time, and the all-pairs comparison in is_isometry_bruteforce.
+# Far beyond musical use. It bounds the loops over every residue, the
+# note-frequency ladder RenderPlan climbs one step and one octave at a time,
+# and the O(n^2) pair loop in is_isometry_bruteforce.
 MAX_MODULUS = 4096
 
 
@@ -65,8 +65,7 @@ class GeneratorSet:
 def _word_lengths(n: int, steps: tuple[int, ...]) -> list[int]:
     """Fewest steps summing to each residue, or -1 where no sum reaches it:
     one search from 0, read at (b - a) mod n for the path from a to b."""
-    lengths = [-1] * n
-    lengths[0] = 0
+    lengths = [0] + [-1] * (n - 1)
     frontier = deque([0])
     while frontier:
         v = frontier.popleft()
@@ -121,15 +120,17 @@ class CayleyGraph:
 def is_isometry_bruteforce(G: CayleyGraph, f) -> bool:
     """Check d(x, y) = d(f(x), f(y)) over all vertex pairs.
 
-    f may be any callable on residues; d is the metric, on oriented graphs too.
+    f may be any callable on residues; d is the metric, on oriented graphs
+    too, and an unreachable pair only matches another unreachable pair.
     """
     n = G.ring.n
     image = [f(x) for x in range(n)]
     if any(not isinstance(y, int) or not 0 <= y < n for y in image):
         raise ValueError("map must send residues to residues")
+    d = G._metric
     for x in range(n):
         for y in range(x + 1, n):
-            if G.distance(x, y) != G.distance(image[x], image[y]):
+            if d[(y - x) % n] != d[(image[y] - image[x]) % n]:
                 return False
     return True
 

@@ -158,10 +158,14 @@ def test_oriented_path_length_requires_an_oriented_graph():
         G.oriented_path_length(0, 3)
 
 
-def test_bruteforce_refuses_a_map_off_the_residues():
+def test_bruteforce_on_a_graph_that_does_not_generate():
     G = CayleyGraph(GeneratorSet(ModRing(12), (3, 9)), oriented=True)
     with pytest.raises(ValueError, match="^map must send residues to residues$"):
         is_isometry_bruteforce(G, lambda x: x + 12)
+    # Unreachable pairs compare equal: turning one coset of {0, 3, 6, 9}
+    # keeps every distance, and squaring does not.
+    assert is_isometry_bruteforce(G, lambda x: (x + 3) % 12 if x % 3 == 1 else x)
+    assert not is_isometry_bruteforce(G, lambda x: x * x % 12)
 
 
 def test_modulus_cap():
