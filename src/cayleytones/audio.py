@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import math
 import os
-import wave
 from collections import deque
-from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
+from ._value import value_type
 from .cayley import MAX_MODULUS
 from .music import MusicalSystem, validate_system
 
-# numpy is imported inside each function that uses it, so that the
-# subcommands that make no audio start without it; annotations name it only.
+# numpy and wave are imported inside each function that uses them, so that
+# the subcommands that make no audio start without them; annotations name
+# numpy only.
 if TYPE_CHECKING:
     import numpy as np
 
@@ -49,7 +49,7 @@ def note_frequency(system: MusicalSystem, k: int, octave_shift: int = 0) -> floa
     return f
 
 
-@dataclass(frozen=True)
+@value_type
 class ToneSpec:
     """A frequency in Hz and a duration in seconds, both positive."""
 
@@ -68,7 +68,7 @@ class ToneSpec:
             )
 
 
-@dataclass(frozen=True)
+@value_type
 class SampleBuffer:
     """Immutable mono samples in [-1, 1] at a fixed rate."""
 
@@ -111,7 +111,7 @@ def pure_tone(spec: ToneSpec) -> SampleBuffer:
     return SampleBuffer(_event_samples(spec.duration, (spec.frequency,), None, 0.0))
 
 
-@dataclass(frozen=True)
+@value_type
 class Envelope:
     """Linear attack-decay-sustain-release amplitude profile in [0, 1]."""
 
@@ -193,7 +193,7 @@ def _voice(
         np.multiply(out, g, out=out)
 
 
-@dataclass(frozen=True)
+@value_type
 class RenderEvent:
     """One plan entry: a note, a chord, or a rest.
 
@@ -219,7 +219,7 @@ class RenderEvent:
             raise ValueError("a chord event carries at least one note")
 
 
-@dataclass(frozen=True)
+@value_type
 class RenderPlan:
     """A system, an ordered list of events to render back to back, and the
     envelope and phase-modulation depth every sounding event shares.
@@ -334,8 +334,12 @@ def envelope_from_dict(data: Optional[dict]) -> Optional[Envelope]:
     if data is None:
         return None
     _expect(data, dict, "envelope")
+    # Every Envelope field has a default, so these are all of them, in order.
     return Envelope(
-        *(_real(data.get(f.name, f.default), f.name) for f in fields(Envelope))
+        *(
+            _real(data.get(name, default), name)
+            for name, default in Envelope._field_defaults.items()
+        )
     )
 
 
@@ -512,6 +516,8 @@ def _write_pieces(pieces: Iterable[np.ndarray], sample_rate: int, path) -> int:
     at a time. If anything fails once the file is open, including a piece
     that is not finite, the partial file is removed and the error re-raised.
     """
+    import wave
+
     import numpy as np
 
     frames = 0
@@ -546,6 +552,8 @@ def write_wav(buffer: SampleBuffer, path) -> None:
 
 def read_wav(path) -> SampleBuffer:
     """Read back a mono 16-bit WAV into samples scaled to [-1, 1]."""
+    import wave
+
     import numpy as np
 
     with wave.open(str(path), "rb") as handle:

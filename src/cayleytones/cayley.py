@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
+from ._value import value_type
 from .modular import AffineMap, ModRing
 
 # Far beyond musical use. It bounds the loops over every residue, the
@@ -22,7 +22,7 @@ class GeneratorSetError(ValueError):
     """Raised when an operation requires a symmetric or generating set."""
 
 
-@dataclass(frozen=True)
+@value_type
 class GeneratorSet:
     """Nonzero residues used as edge steps; stored sorted and deduplicated."""
 

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Optional
 
+from ._value import value_type
 from .cayley import CayleyGraph, GeneratorSet, is_isometry_by_generators
 from .modular import AffineMap, ModRing, fixed_points, is_involution, units
 
@@ -23,7 +23,7 @@ class AmbiguousRefinementError(ValueError):
         self.ties = ties
 
 
-@dataclass(frozen=True)
+@value_type
 class Dichotomy:
     """Disjoint consonant/dissonant subsets of Z_n.
 
@@ -68,7 +68,7 @@ def fux_dichotomy() -> Dichotomy:
     )
 
 
-@dataclass(frozen=True)
+@value_type
 class ConsonantSeed:
     """The minimal consonances {0} union S for a symmetric generating S."""
 
@@ -134,7 +134,7 @@ def satisfies_weak(T: AffineMap, seed: ConsonantSeed, G: CayleyGraph) -> bool:
     return not ({T(x) for x in members} & members)
 
 
-@dataclass(frozen=True)
+@value_type
 class PartitionRecord:
     """One consonant/dissonant split found by a search, with its witness."""
 
@@ -154,7 +154,7 @@ class PartitionRecord:
         }
 
 
-@dataclass(frozen=True)
+@value_type
 class SearchReport:
     """Outcome of an exhaustive affine search, ordered deterministically."""
 

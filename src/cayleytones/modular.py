@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._value import value_type
 
 
-@dataclass(frozen=True)
+@value_type
 class ModRing:
     """The integers modulo n under addition, with n >= 2."""
 
@@ -25,7 +26,7 @@ def units(ring: ModRing) -> list[int]:
     return [k for k in range(1, ring.n) if math.gcd(k, ring.n) == 1]
 
 
-@dataclass(frozen=True)
+@value_type
 class AffineMap:
     """The bijection x -> (multiplier * x + offset) mod n, multiplier a unit.
 
@@ -37,12 +38,12 @@ class AffineMap:
     offset: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "multiplier", self.multiplier % self.ring.n)
-        object.__setattr__(self, "offset", self.offset % self.ring.n)
-        if math.gcd(self.multiplier, self.ring.n) != 1:
-            raise ValueError(
-                f"multiplier {self.multiplier} is not a unit mod {self.ring.n}"
-            )
+        n = self.ring.n
+        multiplier = self.multiplier % n
+        object.__setattr__(self, "multiplier", multiplier)
+        object.__setattr__(self, "offset", self.offset % n)
+        if math.gcd(multiplier, n) != 1:
+            raise ValueError(f"multiplier {multiplier} is not a unit mod {n}")
 
     def __call__(self, x: int) -> int:
         return (self.multiplier * x + self.offset) % self.ring.n

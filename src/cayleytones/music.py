@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
+from ._value import value_type
 from .cayley import MAX_MODULUS, GeneratorSet
 from .modular import ModRing
+
+# fractions is imported by interval_table alone, so that the subcommands
+# that print no intervals start without it; annotations name it only.
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MAJOR = "major"
 MINOR = "minor"
@@ -27,7 +31,7 @@ class InvalidChordError(ValueError):
     """Raised for steps outside {p, q} or a self-intersecting path."""
 
 
-@dataclass(frozen=True)
+@value_type
 class MusicalSystem:
     """n notes per octave of ratio s, built on coprime steps p > q > 1.
 
@@ -117,7 +121,7 @@ def _classify_quality(system: MusicalSystem, steps: tuple[int, ...]) -> Optional
     return None
 
 
-@dataclass(frozen=True)
+@value_type
 class Chord:
     """A non-self-intersecting walk with steps in {p, q}, possibly closing."""
 
@@ -209,7 +213,7 @@ def largest_chord_within_octave(system: MusicalSystem, root: int, quality: str) 
     return chord_from_steps(system, root, _alternating_steps(system, quality, count))
 
 
-@dataclass(frozen=True)
+@value_type
 class CircleOfFifths:
     """The orbit of 0 under repeated addition of a generator-pair sum."""
 
@@ -252,7 +256,7 @@ def circle_of_fifths(
     return CircleOfFifths(system, step, sequence)
 
 
-@dataclass(frozen=True)
+@value_type
 class Scale:
     """An octave-closing note sequence built around a backbone chord."""
 
@@ -352,7 +356,7 @@ _CATALOG = (
 )
 
 
-@dataclass(frozen=True)
+@value_type
 class CatalogEntry:
     name: str
     steps: tuple[int, ...]
@@ -372,7 +376,7 @@ def chord_catalog(system: MusicalSystem) -> list[CatalogEntry]:
     return table
 
 
-@dataclass(frozen=True)
+@value_type
 class IntervalRow:
     index: int
     name: str
@@ -390,28 +394,34 @@ class IntervalRow:
         }
 
 
+# (index, name, Pythagorean ratio as numerator and denominator)
 _INTERVALS = (
-    (0, "unison", Fraction(1)),
-    (1, "minor second", Fraction(256, 243)),
-    (2, "major second", Fraction(9, 8)),
-    (3, "minor third", Fraction(32, 27)),
-    (4, "major third", Fraction(81, 64)),
-    (5, "fourth", Fraction(4, 3)),
-    (6, "tritone", Fraction(729, 512)),
-    (7, "fifth", Fraction(3, 2)),
-    (8, "minor sixth", Fraction(128, 81)),
-    (9, "major sixth", Fraction(27, 16)),
-    (10, "minor seventh", Fraction(16, 9)),
-    (11, "major seventh", Fraction(243, 128)),
+    (0, "unison", (1, 1)),
+    (1, "minor second", (256, 243)),
+    (2, "major second", (9, 8)),
+    (3, "minor third", (32, 27)),
+    (4, "major third", (81, 64)),
+    (5, "fourth", (4, 3)),
+    (6, "tritone", (729, 512)),
+    (7, "fifth", (3, 2)),
+    (8, "minor sixth", (128, 81)),
+    (9, "major sixth", (27, 16)),
+    (10, "minor seventh", (16, 9)),
+    (11, "major seventh", (243, 128)),
 )
 
 
 def interval_table() -> tuple[IntervalRow, ...]:
     """The twelve-interval reference comparing Pythagorean exact ratios
     with equal-temperament ratios 2^(i/12)."""
+    from fractions import Fraction
+
     rows = []
-    for index, name, ratio in _INTERVALS:
+    for index, name, (numerator, denominator) in _INTERVALS:
         temperate = 2.0 ** (index / 12)
-        deviation = abs(math.log2(ratio) - index / 12)
-        rows.append(IntervalRow(index, name, ratio, temperate, deviation))
+        # float(Fraction(a, b)) is a / b, the value log2 took from the Fraction.
+        deviation = abs(math.log2(numerator / denominator) - index / 12)
+        rows.append(
+            IntervalRow(index, name, Fraction(numerator, denominator), temperate, deviation)
+        )
     return tuple(rows)

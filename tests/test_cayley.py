@@ -134,7 +134,7 @@ def test_oriented_path_length_examples():
     assert G12.oriented_path_length(0, 7) == 2
 
 
-def test_oriented_graph_answers_metric_through_unoriented_view():
+def test_oriented_graph_answers_the_symmetric_metric():
     G = CayleyGraph(GeneratorSet(ModRing(6), (2, 3)), oriented=True)
     assert G.distance(1, 3) == 1
     assert G.distance(3, 1) == 1

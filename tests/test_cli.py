@@ -796,6 +796,50 @@ def test_only_render_imports_numpy(tmp_path):
     )
 
 
+LEAN_START = """
+import contextlib, hashlib, io, sys
+sys.path.insert(0, sys.argv[1])
+LATE = {"dataclasses", "inspect", "fractions", "decimal", "wave", "numpy"}
+before = set(sys.modules)
+from cayleytones import cli
+Z12 = ["-p", "4", "-q", "3"]
+calls = [
+    ["--help"],
+    ["validate", *Z12],
+    ["distance", *Z12, "0", "5"],
+    ["circle", *Z12],
+    ["scale", *Z12, "--quality", "major"],
+    ["chords", *Z12],
+    ["graph", *Z12],
+] + [
+    ["counterpoint", "search", *Z12, *mode]
+    for mode in ([], ["--weak"], ["--strong"], ["--extend"], ["--maximal"], ["--refine"])
+]
+for argv in calls:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert not LATE & (set(sys.modules) - before), (argv, sorted(LATE & set(sys.modules)))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["intervals"]) == 0
+print(hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_start_up_imports_only_what_the_call_needs():
+    # dataclasses (with inspect), fractions (with decimal), wave and numpy
+    # each cost start-up time, and only intervals or render need any of them.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-E", "-c", LEAN_START, src],
+        capture_output=True, text=True, check=False, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "1406e2a7de46290250a0d4c94cc80bbea84e5b4d5ebb6903858e78e789206417\n"
+    )
+
+
 def test_render_peak_memory_does_not_grow_with_plan_length(capsys, tmp_path):
     # tracemalloc sees numpy's buffers, and only this process's allocations.
     longer = dict(STREAM_PLAN, events=STREAM_PLAN["events"] * 4)
