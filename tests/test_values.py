@@ -7,7 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cayleytones.audio import Envelope, RenderEvent, RenderPlan, SampleBuffer, ToneSpec
+from cayleytones.audio import (
+    Envelope,
+    RenderEvent,
+    RenderPlan,
+    SampleBuffer,
+    ToneSpec,
+    envelope_from_dict,
+)
 from cayleytones.cayley import GeneratorSet
 from cayleytones.counterpoint import ConsonantSeed, Dichotomy, PartitionRecord, SearchReport
 from cayleytones.modular import AffineMap, ModRing
@@ -150,6 +157,14 @@ def test_unequal_fields_give_unequal_objects():
     assert MusicalSystem(12, 4, 3) != MusicalSystem(12, 4, 3, 3.0)
     assert AffineMap(RING, 5, 0) != AffineMap(RING, 5, 1)
     assert Envelope() != Envelope(attack=0.0)
+
+
+def test_envelope_from_dict_reads_each_field_by_name_with_its_default():
+    assert envelope_from_dict({}) == Envelope()
+    values = {"attack": 0.1, "decay": 0.2, "sustain_level": 0.3, "release": 0.4}
+    assert envelope_from_dict(dict(values, hold=9)) == Envelope(**values)
+    with pytest.raises(ValueError, match="release must be a number, got 'x'"):
+        envelope_from_dict({"release": "x"})
 
 
 def test_post_init_still_normalises():
