@@ -20,8 +20,10 @@ def value_type(cls: type) -> type:
     position or keyword, then __post_init__ if the class has one, which may
     normalise a field with object.__setattr__), __eq__ and __hash__ over the
     tuple of fields (equal only to an instance of the same class), __repr__
-    as Name(field=value, ...) unless the class defines its own, and
-    __setattr__ and __delattr__ that raise AttributeError. The defaults,
+    as Name(field=value, ...), and __setattr__ and __delattr__ that raise
+    AttributeError. A class that defines its own __eq__ or __repr__ keeps
+    it; one with its own __eq__ also keeps the __hash__ Python sets for it,
+    None (unhashable) unless the class defines __hash__ too. The defaults,
     by field name in field order, are kept in _field_defaults.
     """
     names = tuple(cls.__dict__.get("__annotations__", {}))
@@ -71,7 +73,9 @@ def value_type(cls: type) -> type:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    methods = [__init__, __eq__, __hash__, __setattr__, __delattr__]
+    methods = [__init__, __setattr__, __delattr__]
+    if "__eq__" not in cls.__dict__:
+        methods += [__eq__, __hash__]
     if "__repr__" not in cls.__dict__:
         methods.append(__repr__)
     for method in methods:

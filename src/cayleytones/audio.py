@@ -82,6 +82,17 @@ class SampleBuffer:
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
+    def __eq__(self, other: object) -> bool:
+        # Equal rates and samples. Left unhashable: a hash of the samples'
+        # bytes would tell apart -0.0 and 0.0, which compare equal.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        import numpy as np
+
+        return self.sample_rate == other.sample_rate and np.array_equal(
+            self.samples, other.samples
+        )
+
     def __len__(self) -> int:
         return len(self.samples)
 
@@ -484,7 +495,8 @@ def _event_samples(
 
 
 def render(plan: RenderPlan) -> SampleBuffer:
-    """Concatenate per-event buffers; rests render as silence."""
+    """The plan's blocks (see _render_events) concatenated into one buffer;
+    rests render as silence."""
     import numpy as np
 
     return SampleBuffer(np.concatenate(list(_render_events(plan))))

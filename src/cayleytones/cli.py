@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
@@ -33,6 +32,9 @@ from .music import (
     system_from_factors,
     triad,
 )
+
+# json is imported only where JSON is read or written, so that the calls
+# that print text start without it.
 
 
 class CliError(Exception):
@@ -190,6 +192,8 @@ def _cmd_counterpoint(args: argparse.Namespace) -> None:
 
 
 def _cmd_render(args: argparse.Namespace) -> _Output:
+    import json
+
     with open(args.plan, encoding="utf-8") as handle:
         plan = RenderPlan.from_dict(json.load(handle))
     # The plan is fully checked, so the output file is opened only for a
@@ -339,6 +343,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if result is not None:
             payload, text = result
             if args.json:
+                import json
+
                 print(json.dumps(payload, indent=2 if args.pretty else None))
             else:
                 print(text)

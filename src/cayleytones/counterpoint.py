@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-import json
 from itertools import product
 from typing import Iterable, Iterator, Optional
 
 from ._value import value_type
 from .cayley import CayleyGraph, GeneratorSet, is_isometry_by_generators
 from .modular import AffineMap, ModRing, fixed_points, is_involution, units
+
+# json is imported by the to_json methods, so that a report printed as a
+# table does not load it.
 
 
 class NoStrongDichotomyError(ValueError):
@@ -56,6 +58,8 @@ class Dichotomy:
         }
 
     def to_json(self, indent: Optional[int] = None) -> str:
+        import json
+
         return json.dumps(self.to_dict(), indent=indent)
 
 
@@ -178,6 +182,8 @@ class SearchReport:
         }
 
     def to_json(self, indent: Optional[int] = None) -> str:
+        import json
+
         return json.dumps(self.to_dict(), indent=indent)
 
 

@@ -840,6 +840,48 @@ def test_start_up_imports_only_what_the_call_needs():
     )
 
 
+JSON_FREE_START = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+from cayleytones import cli
+Z12 = ["-p", "4", "-q", "3"]
+calls = [
+    ["--help"],
+    ["validate", *Z12],
+    ["distance", *Z12, "0", "5"],
+    ["circle", *Z12],
+    ["scale", *Z12, "--quality", "major"],
+    ["chords", *Z12],
+    ["graph", *Z12],
+    ["intervals"],
+] + [
+    ["counterpoint", "search", *Z12, mode, "--pretty"]
+    for mode in ("--weak", "--strong", "--extend", "--maximal", "--refine")
+]
+for argv in calls:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert "json" not in set(sys.modules) - before, argv
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["validate", *Z12, "--json"]) == 0
+assert "json" in sys.modules
+import json
+assert out.getvalue() == json.dumps({"n": 12, "p": 4, "q": 3, "s": 2.0, "f0": 440.0}) + "\\n"
+"""
+
+
+def test_calls_that_print_text_start_without_json():
+    # json costs start-up time, and only JSON output and render's plan need it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-E", "-c", JSON_FREE_START, src],
+        capture_output=True, text=True, check=False, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
 def test_render_peak_memory_does_not_grow_with_plan_length(capsys, tmp_path):
     # tracemalloc sees numpy's buffers, and only this process's allocations.
     longer = dict(STREAM_PLAN, events=STREAM_PLAN["events"] * 4)

@@ -159,6 +159,18 @@ def test_unequal_fields_give_unequal_objects():
     assert Envelope() != Envelope(attack=0.0)
 
 
+def test_sample_buffers_compare_by_rate_and_samples_and_are_unhashable():
+    buffer = SampleBuffer(np.array([0.0, 0.5, -0.25]), 8000)
+    assert buffer == SampleBuffer([-0.0, 0.5, -0.25], 8000) and not buffer != buffer
+    assert buffer != SampleBuffer(buffer.samples, 44100)
+    assert buffer != SampleBuffer([0.0, 0.5, 0.25], 8000)
+    assert buffer != SampleBuffer([0.0, 0.5], 8000)
+    assert buffer != type("Twin", (SampleBuffer,), {})(buffer.samples, 8000)
+    assert buffer.__eq__((buffer.samples, 8000)) is NotImplemented
+    with pytest.raises(TypeError, match="unhashable type: 'SampleBuffer'"):
+        hash(buffer)
+
+
 def test_envelope_from_dict_reads_each_field_by_name_with_its_default():
     assert envelope_from_dict({}) == Envelope()
     values = {"attack": 0.1, "decay": 0.2, "sustain_level": 0.3, "release": 0.4}
