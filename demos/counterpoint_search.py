@@ -25,14 +25,13 @@ from cayleytones import (
 def tour(p, q):
     system = system_from_factors(p, q)
     seed = ConsonantSeed(system.symmetric_generator_set)
-    graph = CayleyGraph(system.symmetric_generator_set, oriented=False)
     print(f"== Z_{system.n}, S = {sorted(seed.generators.elements)} ==")
-    weak = enumerate_weak_witnesses(system.n, seed.generators.elements)
+    weak = enumerate_weak_witnesses(seed)
     print(f"examined {weak.examined} maps, weak witnesses:")
     for t in weak.witnesses:
         print("  ", t)
     try:
-        report = extend_to_partitions(seed, graph)
+        report = extend_to_partitions(seed)
     except NoStrongDichotomyError as exc:
         print("no full partition:", exc)
         return
@@ -55,9 +54,8 @@ tour(5, 3)
 print()
 z15 = system_from_factors(5, 3)
 seed15 = ConsonantSeed(z15.symmetric_generator_set)
-g15 = CayleyGraph(z15.symmetric_generator_set, oriented=False)
 witness = AffineMap(ModRing(15), 14, 1)
-maximal = maximal_consonant_extension(seed15, witness, g15)
+maximal = maximal_consonant_extension(seed15, witness)
 print(f"maximal consonant sets under {witness}:")
 for rec in maximal.partitions:
     print("  K =", sorted(rec.consonant))
@@ -65,10 +63,8 @@ for rec in maximal.partitions:
 # back on Z_12, the oriented metric singles out the classical dichotomy
 print()
 z12 = system_from_factors(4, 3)
-report = extend_to_partitions(
-    ConsonantSeed(z12.symmetric_generator_set),
-    CayleyGraph(z12.symmetric_generator_set, oriented=False),
-)
+seed12 = ConsonantSeed(z12.symmetric_generator_set)
+report = extend_to_partitions(seed12)
 oriented = CayleyGraph(z12.generator_set, oriented=True)
 best = minimal_oriented_refinement(report, oriented)
 print("refinement picks K =", sorted(best.consonant))
@@ -76,8 +72,4 @@ print("matches the classical dichotomy:", best.consonant == fux_dichotomy().cons
 
 # one-partition scan, reported with full bookkeeping
 print()
-print(
-    strong_search_report(
-        fux_dichotomy(), CayleyGraph(z12.symmetric_generator_set, oriented=False)
-    ).to_json(indent=2)
-)
+print(strong_search_report(fux_dichotomy(), seed12).to_json(indent=2))

@@ -154,9 +154,8 @@ def _search(args: argparse.Namespace, system: MusicalSystem):
     if (args.multiplier, args.offset) != (None, None) and args.mode != "maximal":
         raise CliError("--multiplier and --offset apply only to --maximal")
     seed = ConsonantSeed(system.symmetric_generator_set)
-    graph = CayleyGraph(system.symmetric_generator_set, oriented=False)
     if args.mode == "weak":
-        return enumerate_weak_witnesses(system.n, seed.generators.elements)
+        return enumerate_weak_witnesses(seed)
     if args.mode == "strong":
         if args.consonants is not None:
             consonant = _parse_residues(args.consonants, system.n)
@@ -167,15 +166,15 @@ def _search(args: argparse.Namespace, system: MusicalSystem):
                 "--strong needs --consonants for systems other than -p 4 -q 3"
             )
         dissonant = frozenset(range(system.n)) - consonant
-        return strong_search_report(Dichotomy(system.ring, consonant, dissonant), graph)
+        return strong_search_report(Dichotomy(system.ring, consonant, dissonant), seed)
     if args.mode == "maximal":
         if (args.multiplier is None) != (args.offset is None):
             raise CliError("--maximal takes both --multiplier and --offset")
         witness = None
         if args.multiplier is not None:
             witness = AffineMap(system.ring, args.multiplier, args.offset)
-        return maximal_consonant_extension(seed, witness, graph)
-    report = extend_to_partitions(seed, graph)
+        return maximal_consonant_extension(seed, witness)
+    report = extend_to_partitions(seed)
     if args.mode == "refine":
         oriented = CayleyGraph(system.generator_set, oriented=True)
         return minimal_oriented_refinement(report, oriented)

@@ -12,6 +12,11 @@ from .modular import AffineMap, ModRing, fixed_points, is_involution, units
 # json is imported by the to_json methods, so that a report printed as a
 # table does not load it.
 
+# The most subsets extend_to_partitions and maximal_consonant_extension
+# may enumerate; it covers every extension to halves with n <= 44. Larger
+# searches are refused before they start.
+_MAX_SUBSETS = 2**22
+
 
 class NoStrongDichotomyError(ValueError):
     """Raised when a full half/half partition is impossible (odd n)."""
@@ -102,16 +107,6 @@ def _metric_generators(G: CayleyGraph) -> GeneratorSet:
     if G.oriented:
         raise ValueError("counterpoint checks run on the unoriented graph")
     return GeneratorSet(G.ring, G.steps)
-
-
-def _check_graph_of_seed(seed: ConsonantSeed, G: CayleyGraph) -> None:
-    # The searches build one table from the seed's steps, so they must
-    # also be the steps of the metric they are checked against.
-    if _metric_generators(G) != seed.generators:
-        raise ValueError(
-            f"graph steps {list(G.steps)} differ from the seed generators "
-            f"{list(seed.generators.elements)}"
-        )
 
 
 def satisfies_strong(T: AffineMap, dichotomy: Dichotomy, G: CayleyGraph) -> bool:
@@ -216,23 +211,25 @@ def _strong_witnesses(
 
 
 def find_affine_for_partition(
-    dichotomy: Dichotomy, G: CayleyGraph
+    dichotomy: Dichotomy, seed: ConsonantSeed
 ) -> list[AffineMap]:
     """All strong witnesses among the |U(n)|*n affine maps, by (h, w).
 
-    Results match filtering the full scan through satisfies_strong.
+    The isometries are those of the seed's steps S. Results match
+    filtering the full scan through satisfies_strong.
     """
-    S = _metric_generators(G)
+    if dichotomy.ring != seed.ring:
+        raise ValueError("dichotomy and seed use different moduli")
     if not dichotomy.is_full_partition:
         raise ValueError("strong condition needs a full partition of Z_n")
     K, D = dichotomy.consonant, dichotomy.dissonant
-    return _strong_witnesses(_involutive_isometries(S), K, D)
+    return _strong_witnesses(_involutive_isometries(seed.generators), K, D)
 
 
-def strong_search_report(dichotomy: Dichotomy, G: CayleyGraph) -> SearchReport:
+def strong_search_report(dichotomy: Dichotomy, seed: ConsonantSeed) -> SearchReport:
     """Full-scan report of the strong witnesses for one partition."""
-    witnesses = find_affine_for_partition(dichotomy, G)
-    n = G.ring.n
+    witnesses = find_affine_for_partition(dichotomy, seed)
+    n = seed.ring.n
     records = []
     if witnesses:
         first = witnesses[0]
@@ -250,22 +247,21 @@ def strong_search_report(dichotomy: Dichotomy, G: CayleyGraph) -> SearchReport:
     )
     return SearchReport(
         n,
-        G.steps,
-        len(units(G.ring)) * n,
+        seed.generators.elements,
+        len(units(seed.ring)) * n,
         tuple(witnesses),
         tuple(records),
         notes,
     )
 
 
-def enumerate_weak_witnesses(n: int, S: Iterable[int]) -> SearchReport:
-    """Scan all |U(n)|*n affine maps for weak witnesses.
+def enumerate_weak_witnesses(seed: ConsonantSeed) -> SearchReport:
+    """Scan all |U(n)|*n affine maps for weak witnesses of the seed.
 
     The report cross-checks the sufficient criterion: every offset
     outside the seed sumset must yield a witness with multiplier n-1.
     """
-    ring = ModRing(n)
-    seed = ConsonantSeed(GeneratorSet(ring, tuple(S)))
+    ring, n = seed.ring, seed.ring.n
     members = seed.members
     table = _involutive_isometries(seed.generators)
     witnesses = [T for T in table if not (_image(T, members) & members)]
@@ -305,36 +301,36 @@ def _choices(
         yield seed | frozenset(picks)
 
 
-def extend_to_partitions(seed: ConsonantSeed, G: CayleyGraph) -> SearchReport:
+def extend_to_partitions(seed: ConsonantSeed) -> SearchReport:
     """Grow the seed to full half/half partitions under each weak witness.
 
     Every returned partition is re-verified by counting its strong
     witnesses among all weak witnesses rather than trusting the search;
     a strong witness of K, which holds the seed, is always a weak one,
-    so an empty count is an error.
+    so an empty count is an error. A search that would enumerate more
+    than 2**22 subsets raises ValueError before it enumerates any.
     """
     n = seed.ring.n
     if n % 2 == 1:
         raise NoStrongDichotomyError(
             f"n={n} is odd: halves of equal size cannot partition Z_n"
         )
-    _check_graph_of_seed(seed, G)
-    weak_report = enumerate_weak_witnesses(n, seed.generators.elements)
+    weak_report = enumerate_weak_witnesses(seed)
     members = seed.members
     needed = n // 2 - len(members)
     if needed < 0:
         raise ValueError("seed larger than half of Z_n")
-    # A dict used as a set: it keeps the halves in the order they are found,
-    # nearly the report's order, which keeps the recount and the sort cheap.
-    found: dict[frozenset[int], None] = {}
-    subsets_accepted = 0
+    reaching = []
     for T in weak_report.witnesses:
         pairs = _orbit_pairs(T, members)
-        # T fixes a residue off the seed and its image: it reaches no half.
-        if len(pairs) != needed:
-            continue
-        found.update(dict.fromkeys(_choices(members, pairs)))
-        subsets_accepted += 2**needed
+        # Only a T that fixes no residue off the seed and its image reaches a half.
+        if len(pairs) == needed:
+            reaching.append(pairs)
+            if len(reaching) * 2**needed > _MAX_SUBSETS:
+                raise ValueError(f"extend on Z_{n} would enumerate over {_MAX_SUBSETS} subsets")
+    # A dict used as a set: it keeps the halves in the order they are found,
+    # nearly the report's order, which keeps the recount and the sort cheap.
+    found = dict.fromkeys(K for pairs in reaching for K in _choices(members, pairs))
     universe = frozenset(range(n))
     records = []
     for K in found:
@@ -355,7 +351,7 @@ def extend_to_partitions(seed: ConsonantSeed, G: CayleyGraph) -> SearchReport:
     records.sort(key=lambda r: (r.multiplier, r.offset, r.consonant))
     notes = weak_report.notes + (
         f"half-partition extensions found: {len(records)}",
-        f"extension subsets accepted across witnesses: {subsets_accepted}",
+        f"extension subsets accepted across witnesses: {len(reaching) * 2**needed}",
     )
     return SearchReport(
         n,
@@ -368,17 +364,17 @@ def extend_to_partitions(seed: ConsonantSeed, G: CayleyGraph) -> SearchReport:
 
 
 def maximal_consonant_extension(
-    seed: ConsonantSeed, T: Optional[AffineMap], G: CayleyGraph
+    seed: ConsonantSeed, T: Optional[AffineMap] = None
 ) -> SearchReport:
     """All maximal supersets of the seed kept disjoint from their T-image.
 
     T = None takes the first weak witness by (h, w). Fixed points of T can
     never join, so for odd n the consonances stop at (n-1)/2 elements.
+    More than 2**22 sets raise ValueError before any is listed.
     """
-    _check_graph_of_seed(seed, G)
     members = seed.members
     n = seed.ring.n
-    candidates = enumerate_weak_witnesses(n, seed.generators.elements).witnesses
+    candidates = enumerate_weak_witnesses(seed).witnesses
     if T is None:
         if not candidates:
             raise ValueError(f"Z_{n} admits no weak witness to extend")
@@ -386,6 +382,8 @@ def maximal_consonant_extension(
     elif T not in candidates:
         raise ValueError("the supplied map does not satisfy the weak condition")
     pairs = _orbit_pairs(T, members)
+    if 2 ** len(pairs) > _MAX_SUBSETS:
+        raise ValueError(f"{T} would give 2^{len(pairs)} maximal sets, over {_MAX_SUBSETS}")
     records = []
     for K in _choices(members, pairs):
         D = _image(T, K)

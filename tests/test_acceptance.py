@@ -66,7 +66,7 @@ def test_criterion_01_fux_scan():
     """All 48 affine maps over Z_12 yield exactly one strong witness, 5x+2."""
     with criterion(1):
         system = system_from_factors(4, 3)
-        report = strong_search_report(fux_dichotomy(), _graph(system))
+        report = strong_search_report(fux_dichotomy(), _seed(system))
         assert report.examined == 48
         assert [(t.multiplier, t.offset) for t in report.witnesses] == [(5, 2)]
 
@@ -75,7 +75,7 @@ def test_criterion_02_twelve_tone_partitions():
     """Seed extension recovers exactly four partitions, one witness each."""
     with criterion(2):
         system = system_from_factors(4, 3)
-        report = extend_to_partitions(_seed(system), _graph(system))
+        report = extend_to_partitions(_seed(system))
         found = {
             tuple(sorted(rec.consonant)): (rec.multiplier, rec.offset)
             for rec in report.partitions
@@ -93,10 +93,10 @@ def test_criterion_03_ten_tone_partitions():
     """Z_10 weak witnesses include 9x+1 and 9x+9; four exact extensions."""
     with criterion(3):
         system = system_from_factors(5, 2)
-        weak = enumerate_weak_witnesses(10, _seed(system).generators.elements)
+        weak = enumerate_weak_witnesses(_seed(system))
         pairs = {(t.multiplier, t.offset) for t in weak.witnesses}
         assert {(9, 1), (9, 9)} <= pairs
-        report = extend_to_partitions(_seed(system), _graph(system))
+        report = extend_to_partitions(_seed(system))
         assert {frozenset(rec.consonant) for rec in report.partitions} == {
             frozenset({0, 2, 5, 8, 4}),
             frozenset({0, 2, 5, 8, 7}),
@@ -110,11 +110,11 @@ def test_criterion_04_fifteen_tone_maximal():
     with criterion(4):
         system = system_from_factors(5, 3)
         seed = _seed(system)
-        weak = enumerate_weak_witnesses(15, seed.generators.elements)
+        weak = enumerate_weak_witnesses(seed)
         offsets = {t.offset for t in weak.witnesses if t.multiplier == 14}
         assert offsets == {1, 4, 11, 14}
         witness = AffineMap(ModRing(15), 14, 1)
-        report = maximal_consonant_extension(seed, witness, _graph(system))
+        report = maximal_consonant_extension(seed, witness)
         families = {frozenset(rec.consonant) for rec in report.partitions}
         classical_k = frozenset({0, 3, 5, 10, 12, 2, 7})
         assert classical_k in families
@@ -123,7 +123,7 @@ def test_criterion_04_fifteen_tone_maximal():
             if frozenset(rec.consonant) == classical_k:
                 assert frozenset(rec.dissonant) == {1, 13, 11, 6, 4, 14, 9}
         with pytest.raises(NoStrongDichotomyError):
-            extend_to_partitions(seed, _graph(system))
+            extend_to_partitions(seed)
 
 
 def test_criterion_05_isometry_oracle_equivalence():
@@ -238,7 +238,7 @@ def test_criterion_10_oriented_refinement():
         oriented = _graph(system, oriented=True)
         assert oriented.oriented_path_length(0, 7) == 2
         assert oriented.oriented_path_length(0, 9) == 3
-        report = extend_to_partitions(_seed(system), _graph(system))
+        report = extend_to_partitions(_seed(system))
         choice = minimal_oriented_refinement(report, oriented)
         assert choice.consonant == fux_dichotomy().consonant
         assert choice.dissonant == fux_dichotomy().dissonant

@@ -14,7 +14,6 @@ import pytest
 import cayleytones
 from cayleytones import audio, counterpoint
 from cayleytones.audio import RenderPlan, render, write_wav
-from cayleytones.cayley import CayleyGraph
 from cayleytones.cli import main
 from cayleytones.counterpoint import (
     ConsonantSeed,
@@ -233,8 +232,8 @@ def test_counterpoint_strong_matches_module(capsys):
         capsys, "counterpoint", "search", "--strong", "-p", "4", "-q", "3"
     )
     assert code == 0
-    graph = CayleyGraph(Z12.symmetric_generator_set, oriented=False)
-    assert out == strong_search_report(fux_dichotomy(), graph).to_json() + "\n"
+    seed = ConsonantSeed(Z12.symmetric_generator_set)
+    assert out == strong_search_report(fux_dichotomy(), seed).to_json() + "\n"
     data = json.loads(out)
     assert data["witnesses"] == [{"h": 5, "w": 2}]
     assert data["examined"] == 48
@@ -300,9 +299,8 @@ def test_counterpoint_strong_with_consonants(capsys):
 def test_counterpoint_default_extends(capsys):
     code, out, err = run(capsys, "counterpoint", "search", "-p", "4", "-q", "3")
     assert code == 0
-    graph = CayleyGraph(Z12.symmetric_generator_set, oriented=False)
     seed = ConsonantSeed(Z12.symmetric_generator_set)
-    assert out == extend_to_partitions(seed, graph).to_json() + "\n"
+    assert out == extend_to_partitions(seed).to_json() + "\n"
     data = json.loads(out)
     assert len(data["partitions"]) == 4
 
@@ -354,6 +352,30 @@ def test_counterpoint_maximal_builds_one_isometry_table(capsys, monkeypatch, ext
     )
     assert (code, err) == (0, "")
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("-p", "23", "-q", "2"), "error: extend on Z_46 would enumerate over 4194304 subsets\n"),
+        (
+            ("-p", "64", "-q", "63", "--maximal"),
+            "error: 1x+2016 (mod 4032) would give 2^2011 maximal sets, over 4194304\n",
+        ),
+    ],
+)
+def test_counterpoint_refuses_a_search_past_the_subset_bound_at_once(argv, message):
+    # Without the bound the first lists 10,485,760 halves of Z_46 and the
+    # second 2^2011 sets; a subprocess with a timeout keeps either from
+    # running on.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cayleytones.cli", "counterpoint", "search", *argv],
+        capture_output=True, text=True, env=env, check=False, timeout=20,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
 
 def test_counterpoint_refine_json(capsys):

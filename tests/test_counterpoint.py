@@ -127,12 +127,12 @@ def test_sumsets_exact():
 
 
 def test_find_affine_fux_is_unique():
-    assert _keys(find_affine_for_partition(FUX, G12)) == [(5, 2)]
+    assert _keys(find_affine_for_partition(FUX, SEED12)) == [(5, 2)]
 
 
 def test_find_affine_on_a_contiguous_band():
     band = Dichotomy(RING12, frozenset(range(6)), frozenset(range(6, 12)))
-    assert _keys(find_affine_for_partition(band, G12)) == [(1, 6), (11, 11)]
+    assert _keys(find_affine_for_partition(band, SEED12)) == [(1, 6), (11, 11)]
 
 
 def test_find_affine_agrees_with_satisfies_strong():
@@ -144,17 +144,26 @@ def test_find_affine_agrees_with_satisfies_strong():
             for w in range(12)
             if satisfies_strong(AffineMap(RING12, h, w), dichotomy, G12)
         ]
-        assert _keys(find_affine_for_partition(dichotomy, G12)) == slow
+        assert _keys(find_affine_for_partition(dichotomy, SEED12)) == slow
+
+
+def test_strong_searches_refuse_a_dichotomy_on_another_modulus():
+    ring10 = ModRing(10)
+    dichotomy = Dichotomy(ring10, frozenset(range(5)), frozenset(range(5, 10)))
+    with pytest.raises(ValueError, match="dichotomy and seed use different moduli"):
+        find_affine_for_partition(dichotomy, SEED12)
+    with pytest.raises(ValueError, match="dichotomy and seed use different moduli"):
+        strong_search_report(dichotomy, SEED12)
 
 
 def test_weak_enumeration_z12():
-    report = enumerate_weak_witnesses(12, (3, 4, 8, 9))
+    report = enumerate_weak_witnesses(SEED12)
     assert report.examined == 48
     assert _keys(report.witnesses) == [(5, 2), (5, 10), (11, 2), (11, 10)]
 
 
 def test_weak_enumeration_agrees_with_satisfies_weak():
-    report = enumerate_weak_witnesses(12, (3, 4, 8, 9))
+    report = enumerate_weak_witnesses(SEED12)
     slow = [
         (h, w)
         for h in units(RING12)
@@ -165,19 +174,19 @@ def test_weak_enumeration_agrees_with_satisfies_weak():
 
 
 def test_weak_enumeration_z10():
-    report = enumerate_weak_witnesses(10, (2, 5, 8))
+    report = enumerate_weak_witnesses(SEED10)
     assert report.examined == 40
     assert _keys(report.witnesses) == [(9, 1), (9, 9)]
 
 
 def test_weak_enumeration_z15():
-    report = enumerate_weak_witnesses(15, (3, 5, 10, 12))
+    report = enumerate_weak_witnesses(SEED15)
     assert report.examined == 120
     assert _keys(report.witnesses) == [(14, 1), (14, 4), (14, 11), (14, 14)]
 
 
 def test_extension_z12_partitions():
-    report = extend_to_partitions(SEED12, G12)
+    report = extend_to_partitions(SEED12)
     got = {r.consonant: (r.multiplier, r.offset, r.strong_witness_count) for r in report.partitions}
     assert got == {
         (0, 1, 3, 4, 8, 9): (5, 2, 1),
@@ -190,7 +199,7 @@ def test_extension_z12_partitions():
 
 
 def test_extension_z10_partitions():
-    report = extend_to_partitions(SEED10, G10)
+    report = extend_to_partitions(SEED10)
     assert {r.consonant for r in report.partitions} == {
         (0, 2, 4, 5, 8),
         (0, 2, 5, 7, 8),
@@ -203,7 +212,7 @@ def test_extension_z10_partitions():
 
 def test_extension_partitions_really_are_strong():
     """Re-verify each reported partition with the slow predicate."""
-    report = extend_to_partitions(SEED12, G12)
+    report = extend_to_partitions(SEED12)
     for record in report.partitions:
         dichotomy = Dichotomy(
             RING12, frozenset(record.consonant), frozenset(record.dissonant)
@@ -226,7 +235,7 @@ def test_extension_is_every_half_the_table_sends_off_itself():
             continue
         if 2 * len(members) > n:
             with pytest.raises(ValueError):
-                extend_to_partitions(seed, graph)
+                extend_to_partitions(seed)
             continue
         table = _involutive_isometries(seed.generators)
         expected = []
@@ -239,7 +248,7 @@ def test_extension_is_every_half_the_table_sends_off_itself():
                     (hits[0].multiplier, hits[0].offset, tuple(sorted(K)), tuple(sorted(D)), len(hits))
                 )
         expected.sort()
-        report = extend_to_partitions(seed, graph)
+        report = extend_to_partitions(seed)
         assert [
             (r.multiplier, r.offset, r.consonant, r.dissonant, r.strong_witness_count)
             for r in report.partitions
@@ -258,9 +267,9 @@ def test_maximal_extension_is_every_largest_set_kept_off_its_image():
         weak = [T for T in table if members.isdisjoint(map(T, members))]
         if not weak:
             with pytest.raises(ValueError):
-                maximal_consonant_extension(seed, None, graph)
+                maximal_consonant_extension(seed, None)
             continue
-        assert maximal_consonant_extension(seed, None, graph).witnesses == (weak[0],)
+        assert maximal_consonant_extension(seed, None).witnesses == (weak[0],)
         for T in weak:
             fixed = {z for z in range(n) if T(z) == z}
             free_pairs = {
@@ -280,7 +289,7 @@ def test_maximal_extension_is_every_largest_set_kept_off_its_image():
                 expected.append(
                     (tuple(sorted(K)), tuple(sorted(D)), T.multiplier, T.offset, count)
                 )
-            report = maximal_consonant_extension(seed, T, graph)
+            report = maximal_consonant_extension(seed, T)
             assert [
                 (r.consonant, r.dissonant, r.multiplier, r.offset, r.strong_witness_count)
                 for r in report.partitions
@@ -289,12 +298,12 @@ def test_maximal_extension_is_every_largest_set_kept_off_its_image():
 
 def test_extension_rejects_odd_modulus():
     with pytest.raises(NoStrongDichotomyError):
-        extend_to_partitions(SEED15, G15)
+        extend_to_partitions(SEED15)
 
 
 def test_strong_implies_weak():
     """T(K)=D with K' inside K forces T(K') off K'."""
-    report = extend_to_partitions(SEED12, G12)
+    report = extend_to_partitions(SEED12)
     for record in report.partitions:
         T = AffineMap(RING12, record.multiplier, record.offset)
         assert SEED12.members <= set(record.consonant)
@@ -303,7 +312,7 @@ def test_strong_implies_weak():
 
 def test_maximal_extension_z15():
     T = AffineMap(ModRing(15), 14, 1)
-    report = maximal_consonant_extension(SEED15, T, G15)
+    report = maximal_consonant_extension(SEED15, T)
     consonants = {r.consonant for r in report.partitions}
     assert consonants == {
         (0, 2, 3, 5, 7, 10, 12),
@@ -323,7 +332,7 @@ def test_maximal_extension_z15():
 
 def test_maximal_extension_images_stay_disjoint():
     T = AffineMap(ModRing(15), 14, 1)
-    report = maximal_consonant_extension(SEED15, T, G15)
+    report = maximal_consonant_extension(SEED15, T)
     for record in report.partitions:
         image = {T(x) for x in record.consonant}
         assert not (image & set(record.consonant))
@@ -332,22 +341,11 @@ def test_maximal_extension_images_stay_disjoint():
 
 def test_maximal_extension_requires_weak_witness():
     with pytest.raises(ValueError):
-        maximal_consonant_extension(SEED15, AffineMap(ModRing(15), 1, 0), G15)
-
-
-def test_seed_searches_reject_a_graph_with_other_steps():
-    """A graph whose steps are not the seed's would be searched with the
-    seed's isometries and checked against another metric."""
-    semitones = CayleyGraph(GeneratorSet(RING12, (1, 11)), oriented=False)
-    with pytest.raises(ValueError):
-        extend_to_partitions(SEED12, semitones)
-    T = enumerate_weak_witnesses(12, SEED12.generators.elements).witnesses[0]
-    with pytest.raises(ValueError):
-        maximal_consonant_extension(SEED12, T, semitones)
+        maximal_consonant_extension(SEED15, AffineMap(ModRing(15), 1, 0))
 
 
 def test_refinement_returns_classical_partition():
-    report = extend_to_partitions(SEED12, G12)
+    report = extend_to_partitions(SEED12)
     oriented = CayleyGraph(S12.generator_set, oriented=True)
     refined = minimal_oriented_refinement(report, oriented)
     assert refined.consonant == FUX.consonant
@@ -382,7 +380,7 @@ def test_refinement_tie_is_an_error():
 
 
 def test_refinement_requires_oriented_graph_and_partitions():
-    report = extend_to_partitions(SEED12, G12)
+    report = extend_to_partitions(SEED12)
     with pytest.raises(ValueError):
         minimal_oriented_refinement(report, G12)
     empty = SearchReport(12, (3, 4, 8, 9), 0, (), (), ())
@@ -399,7 +397,7 @@ def test_negation_offsets_outside_sumset_are_weak_witnesses():
             if n > 100 or math.gcd(p, q) != 1:
                 continue
             S = GeneratorSet(ModRing(n), (p, q)).symmetrized()
-            report = enumerate_weak_witnesses(n, S.elements)
+            report = enumerate_weak_witnesses(ConsonantSeed(S))
             members = frozenset({0} | set(S.elements))
             outside = set(range(n)) - set(sumset(members, members, ModRing(n)))
             keys = set(_keys(report.witnesses))
@@ -408,7 +406,7 @@ def test_negation_offsets_outside_sumset_are_weak_witnesses():
 
 
 def test_strong_search_report_shape():
-    report = strong_search_report(FUX, G12)
+    report = strong_search_report(FUX, SEED12)
     assert report.n == 12
     assert report.examined == 48
     assert _keys(report.witnesses) == [(5, 2)]
@@ -419,12 +417,12 @@ def test_strong_search_report_shape():
 
 
 def test_report_json_schema():
-    report = enumerate_weak_witnesses(12, (3, 4, 8, 9))
+    report = enumerate_weak_witnesses(SEED12)
     data = report.to_dict()
     assert set(data) == {"n", "S", "examined", "witnesses", "partitions", "notes"}
     assert data["S"] == [3, 4, 8, 9]
     assert data["witnesses"][0] == {"h": 5, "w": 2}
-    ext = extend_to_partitions(SEED12, G12).to_dict()
+    ext = extend_to_partitions(SEED12).to_dict()
     first = ext["partitions"][0]
     assert set(first) == {"K", "D", "h", "w", "strong_witness_count"}
     assert sorted(first["K"] + first["D"]) == list(range(12))
@@ -443,10 +441,10 @@ def test_searches_agree_with_the_per_map_oracles(pq, paired, rnd):
     else:
         K = frozenset(rnd.sample(range(n), n // 2))
     dichotomy = Dichotomy(ring, K, frozenset(range(n)) - K)
-    assert find_affine_for_partition(dichotomy, graph) == [
+    assert find_affine_for_partition(dichotomy, seed) == [
         T for T in maps if satisfies_strong(T, dichotomy, graph)
     ]
-    report = enumerate_weak_witnesses(n, seed.generators.elements)
+    report = enumerate_weak_witnesses(seed)
     assert list(report.witnesses) == [
         T for T in maps if satisfies_weak(T, seed, graph)
     ]
