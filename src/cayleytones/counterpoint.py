@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator, Optional
 
 from ._value import value_type
@@ -301,6 +301,14 @@ def _choices(
         yield seed | frozenset(picks)
 
 
+def _pick_masks(seed: Iterable[int], pairs: list[tuple[int, int]], U=lambda z: z) -> list[int]:
+    """Bit masks of U of the seed plus one element from each pair, in product order."""
+    masks = [sum(1 << U(z) for z in seed)]
+    for a, b in pairs:
+        masks = [m | bit for m in masks for bit in (1 << U(a), 1 << U(b))]
+    return masks
+
+
 def extend_to_partitions(seed: ConsonantSeed) -> SearchReport:
     """Grow the seed to full half/half partitions under each weak witness.
 
@@ -371,6 +379,10 @@ def maximal_consonant_extension(
     T = None takes the first weak witness by (h, w). Fixed points of T can
     never join, so for odd n the consonances stop at (n-1)/2 elements.
     More than 2**22 sets raise ValueError before any is listed.
+
+    A half K's strong witnesses U (U(K) = D) fix no residue, so each has as
+    many free pairs as T; and as |U(K)| = n/2, U(K) = D exactly when K and
+    U(K) are disjoint. So only those witnesses are tested, on bit masks.
     """
     members = seed.members
     n = seed.ring.n
@@ -384,17 +396,25 @@ def maximal_consonant_extension(
     pairs = _orbit_pairs(T, members)
     if 2 ** len(pairs) > _MAX_SUBSETS:
         raise ValueError(f"{T} would give 2^{len(pairs)} maximal sets, over {_MAX_SUBSETS}")
-    records = []
-    for K in _choices(members, pairs):
-        D = _image(T, K)
-        strong = 0
-        if len(K) + len(D) == n:
-            strong = len(_strong_witnesses(candidates, K, D))
-        records.append(
-            PartitionRecord(
-                tuple(sorted(K)), tuple(sorted(D)), T.multiplier, T.offset, strong
-            )
-        )
+    # Row r of the counts is K = high[r] | low[c] for each c, in product(*pairs)
+    # order. With i, j the U-images of the parts, K misses U(K) when k & i,
+    # l & j and l & i are 0 (for an involution, k & j == 0 iff l & i == 0).
+    cut = len(pairs) // 2
+    high, low = _pick_masks(members, pairs[:cut]), _pick_masks((), pairs[cut:])
+    counts = [[0] * len(low) for _ in high]
+    for U in candidates if 2 * (len(members) + len(pairs)) == n else ():
+        if len(_orbit_pairs(U, members)) == len(pairs):
+            # A low part that meets its own image becomes -1, which meets any i.
+            lows = [-1 if l & j else l for l, j in zip(low, _pick_masks((), pairs[cut:], U))]
+            counts = [[m + (not l & i) for m, l in zip(row, lows)] if not k & i else row
+                      for row, k, i in zip(counts, high, _pick_masks(members, pairs[:cut], U))]
+    # D = T(K) is the seed's image plus the partner of each pick.
+    base, image, h, w = tuple(members), tuple(_image(T, members)), T.multiplier, T.offset
+    partners = product(*[(b, a) for a, b in pairs])
+    records = [
+        PartitionRecord(tuple(sorted(base + picks)), tuple(sorted(image + others)), h, w, count)
+        for picks, others, count in zip(product(*pairs), partners, chain(*counts))
+    ]
     records.sort(key=lambda r: r.consonant)
     notes = (
         f"seed consonances: {sorted(members)}",

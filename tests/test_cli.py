@@ -480,6 +480,32 @@ def test_intervals_json(capsys):
         (("-p", "7", "-q", "4"), "56354defeda22967ea8c9c98f31e9e82b96b6405a47e0ed624573fb681a89f46"),
         # 15,520 partitions
         (("-p", "6", "-q", "5"), "6401d794e8e76de907fac9a67a45a299f3f9aee657511071f40eec46d08067f2"),
+        # --maximal on the six even systems n = 24..30, where halves carry
+        # strong-witness counts (every count is 0 on Z_15 above).
+        (
+            ("-p", "8", "-q", "3", "--maximal"),
+            "488a0cdb908af11e717e4a8121efb7a7dbc925c0e9bb975c3b00f57249e6de07",
+        ),
+        (
+            ("-p", "13", "-q", "2", "--maximal"),
+            "f8db3bdeebda270dd51e139d1134fd5fd20810bc6601e3948bfdbb27bddbd6f8",
+        ),
+        (
+            ("-p", "7", "-q", "4", "--maximal"),
+            "d1753f7e713e5ace989a21d1075e80ea6ccd83a7d50577c9c8c2133c2e894552",
+        ),
+        (
+            ("-p", "15", "-q", "2", "--maximal"),
+            "d5f91a37602253f64995f2aeeac801972c9602785ae6e090c99e670a59441008",
+        ),
+        (
+            ("-p", "10", "-q", "3", "--maximal"),
+            "53ec13bf5d07adb644f350070a2b9307c47d482262cca92956b99610e6d2e134",
+        ),
+        (
+            ("-p", "6", "-q", "5", "--maximal"),
+            "e8eef4ddf5391b044ea4dbf121388b3cec8d8de9208cde6ca24b2936188e288a",
+        ),
     ],
 )
 def test_counterpoint_json_bytes_are_pinned(capsys, argv, digest):

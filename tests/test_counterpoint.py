@@ -296,6 +296,40 @@ def test_maximal_extension_is_every_largest_set_kept_off_its_image():
             ] == expected, (p, q, T)
 
 
+@pytest.fixture(scope="module")
+def maximal_reports_24_to_30():
+    """(system, graph, table, report) for every weak witness of the even
+    systems with 24 <= n <= 30, past the reach of the all-subsets oracle."""
+    reports = []
+    for p, q in SMALL_SYSTEMS:
+        system, seed, graph = _setup(p, q)
+        if system.n % 2 or system.n < 24:
+            continue
+        table = _involutive_isometries(seed.generators)
+        for T in enumerate_weak_witnesses(seed).witnesses:
+            reports.append((system, graph, table, maximal_consonant_extension(seed, T)))
+    return reports
+
+
+@settings(max_examples=10, deadline=None)
+@given(rnd=st.randoms(use_true_random=False))
+def test_maximal_counts_agree_with_satisfies_strong(maximal_reports_24_to_30, rnd):
+    """Under every weak witness, a sampled record and the one with the most
+    strong witnesses, recounted with satisfies_strong over the whole table;
+    a set that does not halve Z_n counts 0."""
+    for system, graph, table, report in maximal_reports_24_to_30:
+        n, records = system.n, report.partitions
+        most = max(records, key=lambda r: r.strong_witness_count)
+        for record in (rnd.choice(records), most):
+            if 2 * len(record.consonant) < n:
+                assert record.strong_witness_count == 0
+                continue
+            assert sorted(record.consonant + record.dissonant) == list(range(n))
+            dichotomy = Dichotomy(system.ring, frozenset(record.consonant), frozenset(record.dissonant))
+            expected = sum(satisfies_strong(U, dichotomy, graph) for U in table)
+            assert record.strong_witness_count == expected, (n, report.witnesses, record)
+
+
 def test_extension_rejects_odd_modulus():
     with pytest.raises(NoStrongDichotomyError):
         extend_to_partitions(SEED15)
