@@ -211,91 +211,61 @@ def _cmd_intervals(args: argparse.Namespace) -> _Output:
     )
 
 
-def _build_parser() -> _Parser:
-    system_flags = argparse.ArgumentParser(add_help=False)
-    system_flags.add_argument("-p", type=int, help="larger step factor")
-    system_flags.add_argument("-q", type=int, help="smaller step factor")
-    system_flags.add_argument(
+def _system_flags(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument("-p", type=int, help="larger step factor")
+    cmd.add_argument("-q", type=int, help="smaller step factor")
+    cmd.add_argument(
         "-s", type=float, default=2.0, help="octave frequency ratio (default 2)"
     )
-    system_flags.add_argument(
+    cmd.add_argument(
         "--f0", type=float, default=440.0, help="base frequency in Hz (default 440)"
     )
-    system_flags.add_argument(
+    cmd.add_argument(
         "-n", type=int, help="rejected; the modulus is always derived as p*q"
     )
 
-    output_flags = argparse.ArgumentParser(add_help=False)
-    output_flags.add_argument(
+
+def _output_flags(cmd: argparse.ArgumentParser) -> None:
+    cmd.add_argument(
         "--json", action="store_true", help="machine-readable JSON on stdout"
     )
-    output_flags.add_argument(
+    cmd.add_argument(
         "--pretty", action="store_true", help="indent JSON / prefer tables"
     )
 
-    parser = _Parser(
-        prog="cayleytones",
-        description="Musical systems on Z_n = Z_pq: graphs, chords, "
-        "counterpoint searches, and WAV rendering.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    cmd = sub.add_parser(
-        "validate",
-        parents=[system_flags, output_flags],
-        help="check system parameters and report the normalized system",
-    )
-    cmd.set_defaults(handler=_cmd_validate)
+def _query_flags(cmd: argparse.ArgumentParser) -> None:
+    _system_flags(cmd)
+    _output_flags(cmd)
 
-    cmd = sub.add_parser(
-        "graph",
-        parents=[system_flags],
-        help="export the step graph as DOT",
-    )
+
+def _graph_args(cmd: argparse.ArgumentParser) -> None:
+    _system_flags(cmd)
     cmd.add_argument("--oriented", action="store_true", help="keep edge directions")
     cmd.add_argument("--out", help="write DOT to this file instead of stdout")
-    cmd.set_defaults(handler=_cmd_graph)
 
-    cmd = sub.add_parser(
-        "distance",
-        parents=[system_flags, output_flags],
-        help="path length between two notes",
-    )
+
+def _distance_args(cmd: argparse.ArgumentParser) -> None:
+    _query_flags(cmd)
     cmd.add_argument("a", type=int, help="start note")
     cmd.add_argument("b", type=int, help="end note")
     cmd.add_argument("--oriented", action="store_true", help="directed paths only")
-    cmd.set_defaults(handler=_cmd_distance)
 
-    cmd = sub.add_parser(
-        "chords",
-        parents=[system_flags, output_flags],
-        help="chord catalog, or one root's triad and largest chord",
-    )
+
+def _chords_args(cmd: argparse.ArgumentParser) -> None:
+    _query_flags(cmd)
     cmd.add_argument("--root", type=int, help="root note (with --quality)")
     cmd.add_argument("--quality", choices=[MAJOR, MINOR])
-    cmd.set_defaults(handler=_cmd_chords)
 
-    cmd = sub.add_parser(
-        "scale",
-        parents=[system_flags, output_flags],
-        help="scale notes for a root and quality",
-    )
+
+def _scale_args(cmd: argparse.ArgumentParser) -> None:
+    _query_flags(cmd)
     cmd.add_argument("--root", type=int, default=0, help="root note (default 0)")
     cmd.add_argument("--quality", choices=[MAJOR, MINOR], required=True)
-    cmd.set_defaults(handler=_cmd_scale)
 
-    cmd = sub.add_parser(
-        "circle",
-        parents=[system_flags, output_flags],
-        help="circle-of-fifths sequence",
-    )
-    cmd.set_defaults(handler=_cmd_circle)
 
-    cmd = sub.add_parser(
-        "counterpoint",
-        parents=[system_flags, output_flags],
-        help="affine witness and partition searches",
-    )
+def _counterpoint_args(cmd: argparse.ArgumentParser) -> None:
+    _query_flags(cmd)
     cmd.add_argument("action", choices=["search"], help="only 'search' exists")
     mode = cmd.add_mutually_exclusive_group()
     for name, text in (
@@ -314,30 +284,60 @@ def _build_parser() -> _Parser:
     )
     cmd.add_argument("--multiplier", type=int, help="h of the map used by --maximal")
     cmd.add_argument("--offset", type=int, help="w of the map used by --maximal")
-    cmd.set_defaults(handler=_cmd_counterpoint, mode="extend")
+    cmd.set_defaults(mode="extend")
 
-    cmd = sub.add_parser(
-        "render",
-        parents=[output_flags],
-        help="render a JSON plan file to a WAV file",
-    )
+
+def _render_args(cmd: argparse.ArgumentParser) -> None:
+    _output_flags(cmd)
     cmd.add_argument("--plan", required=True, help="JSON plan file")
     cmd.add_argument("--out", required=True, help="output WAV path")
-    cmd.set_defaults(handler=_cmd_render)
 
-    cmd = sub.add_parser(
-        "intervals",
-        parents=[output_flags],
-        help="Pythagorean vs equal-temperament reference table",
+
+# Each command's name, help line, the function that adds its arguments, and
+# its handler, in the order that --help lists them.
+_COMMANDS = (
+    ("validate", "check system parameters and report the normalized system",
+     _query_flags, _cmd_validate),
+    ("graph", "export the step graph as DOT", _graph_args, _cmd_graph),
+    ("distance", "path length between two notes", _distance_args, _cmd_distance),
+    ("chords", "chord catalog, or one root's triad and largest chord",
+     _chords_args, _cmd_chords),
+    ("scale", "scale notes for a root and quality", _scale_args, _cmd_scale),
+    ("circle", "circle-of-fifths sequence", _query_flags, _cmd_circle),
+    ("counterpoint", "affine witness and partition searches",
+     _counterpoint_args, _cmd_counterpoint),
+    ("render", "render a JSON plan file to a WAV file", _render_args, _cmd_render),
+    ("intervals", "Pythagorean vs equal-temperament reference table",
+     _output_flags, _cmd_intervals),
+)
+
+
+def _build_parser(command: str) -> _Parser:
+    """The parser of every command, with arguments and handler for `command`.
+
+    All commands are listed, for --help and the "invalid choice" error. An
+    argv that opens with an option other than help may name its command
+    later (`-x validate ...`), so then every command gets its arguments.
+    """
+    parser = _Parser(
+        prog="cayleytones",
+        description="Musical systems on Z_n = Z_pq: graphs, chords, "
+        "counterpoint searches, and WAV rendering.",
     )
-    cmd.set_defaults(handler=_cmd_intervals)
-
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    every = command.startswith("-") and command not in ("-h", "--help")
+    for name, text, add_arguments, handler in _COMMANDS:
+        cmd = sub.add_parser(name, help=text)
+        if every or name == command:
+            add_arguments(cmd)
+            cmd.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0] if argv else "").parse_args(argv)
         result = args.handler(args)
         if result is not None:
             payload, text = result

@@ -97,10 +97,11 @@ def validate_system(
 ) -> MusicalSystem:
     """Build a MusicalSystem, swapping factors given in the wrong order.
 
+    Factors out of range are not swapped, so the error names them as given.
     {p, q} always generates Z_n: the factors are coprime and n = p*q, so
     gcd(n, p, q) = 1.
     """
-    if q > p:
+    if q > p > 1:
         p, q = q, p
     return MusicalSystem(n, p, q, s, f0)
 

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line entry point."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import cayleytones
-from cayleytones import audio, counterpoint
+from cayleytones import audio, cli, counterpoint
 from cayleytones.audio import RenderPlan, render, write_wav
 from cayleytones.cli import main
 from cayleytones.counterpoint import (
@@ -21,7 +22,7 @@ from cayleytones.counterpoint import (
     fux_dichotomy,
     strong_search_report,
 )
-from cayleytones.music import MAJOR, circle_of_fifths, scale, system_from_factors
+from cayleytones.music import MAJOR, MINOR, circle_of_fifths, scale, system_from_factors
 
 Z12 = system_from_factors(4, 3)
 
@@ -124,6 +125,12 @@ def test_invalid_factors_exit_2(capsys):
     assert code == 2
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+def test_out_of_range_factors_are_named_as_given(capsys):
+    code, out, err = run(capsys, "validate", "-p", "0", "-q", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: factors must exceed 1, got p=0, q=3\n"
 
 
 def test_help_exits_0(capsys):
@@ -1119,3 +1126,214 @@ def test_a_closed_stdout_is_not_an_input_error(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def _parent_build_parser(command=None):
+    """cli._build_parser as it was when every call built all nine commands
+    in full from two parent parsers; kept as the reference for what each
+    call prints."""
+    system_flags = argparse.ArgumentParser(add_help=False)
+    system_flags.add_argument("-p", type=int, help="larger step factor")
+    system_flags.add_argument("-q", type=int, help="smaller step factor")
+    system_flags.add_argument(
+        "-s", type=float, default=2.0, help="octave frequency ratio (default 2)"
+    )
+    system_flags.add_argument(
+        "--f0", type=float, default=440.0, help="base frequency in Hz (default 440)"
+    )
+    system_flags.add_argument(
+        "-n", type=int, help="rejected; the modulus is always derived as p*q"
+    )
+
+    output_flags = argparse.ArgumentParser(add_help=False)
+    output_flags.add_argument(
+        "--json", action="store_true", help="machine-readable JSON on stdout"
+    )
+    output_flags.add_argument(
+        "--pretty", action="store_true", help="indent JSON / prefer tables"
+    )
+
+    parser = cli._Parser(
+        prog="cayleytones",
+        description="Musical systems on Z_n = Z_pq: graphs, chords, "
+        "counterpoint searches, and WAV rendering.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+
+    cmd = sub.add_parser(
+        "validate",
+        parents=[system_flags, output_flags],
+        help="check system parameters and report the normalized system",
+    )
+    cmd.set_defaults(handler=cli._cmd_validate)
+
+    cmd = sub.add_parser(
+        "graph",
+        parents=[system_flags],
+        help="export the step graph as DOT",
+    )
+    cmd.add_argument("--oriented", action="store_true", help="keep edge directions")
+    cmd.add_argument("--out", help="write DOT to this file instead of stdout")
+    cmd.set_defaults(handler=cli._cmd_graph)
+
+    cmd = sub.add_parser(
+        "distance",
+        parents=[system_flags, output_flags],
+        help="path length between two notes",
+    )
+    cmd.add_argument("a", type=int, help="start note")
+    cmd.add_argument("b", type=int, help="end note")
+    cmd.add_argument("--oriented", action="store_true", help="directed paths only")
+    cmd.set_defaults(handler=cli._cmd_distance)
+
+    cmd = sub.add_parser(
+        "chords",
+        parents=[system_flags, output_flags],
+        help="chord catalog, or one root's triad and largest chord",
+    )
+    cmd.add_argument("--root", type=int, help="root note (with --quality)")
+    cmd.add_argument("--quality", choices=[MAJOR, MINOR])
+    cmd.set_defaults(handler=cli._cmd_chords)
+
+    cmd = sub.add_parser(
+        "scale",
+        parents=[system_flags, output_flags],
+        help="scale notes for a root and quality",
+    )
+    cmd.add_argument("--root", type=int, default=0, help="root note (default 0)")
+    cmd.add_argument("--quality", choices=[MAJOR, MINOR], required=True)
+    cmd.set_defaults(handler=cli._cmd_scale)
+
+    cmd = sub.add_parser(
+        "circle",
+        parents=[system_flags, output_flags],
+        help="circle-of-fifths sequence",
+    )
+    cmd.set_defaults(handler=cli._cmd_circle)
+
+    cmd = sub.add_parser(
+        "counterpoint",
+        parents=[system_flags, output_flags],
+        help="affine witness and partition searches",
+    )
+    cmd.add_argument("action", choices=["search"], help="only 'search' exists")
+    mode = cmd.add_mutually_exclusive_group()
+    for name, text in (
+        ("weak", "enumerate weak witnesses over {0} union S"),
+        ("strong", "scan for strong witnesses of one partition"),
+        ("extend", "grow the seed to full partitions (default)"),
+        ("maximal", "maximal consonant supersets under one involution"),
+        ("refine", "pick the partition minimizing oriented lengths"),
+    ):
+        mode.add_argument(
+            f"--{name}", dest="mode", action="store_const", const=name, help=text
+        )
+    cmd.add_argument(
+        "--consonants",
+        help="comma-separated consonant residues (required by --strong off Z_12)",
+    )
+    cmd.add_argument("--multiplier", type=int, help="h of the map used by --maximal")
+    cmd.add_argument("--offset", type=int, help="w of the map used by --maximal")
+    cmd.set_defaults(handler=cli._cmd_counterpoint, mode="extend")
+
+    cmd = sub.add_parser(
+        "render",
+        parents=[output_flags],
+        help="render a JSON plan file to a WAV file",
+    )
+    cmd.add_argument("--plan", required=True, help="JSON plan file")
+    cmd.add_argument("--out", required=True, help="output WAV path")
+    cmd.set_defaults(handler=cli._cmd_render)
+
+    cmd = sub.add_parser(
+        "intervals",
+        parents=[output_flags],
+        help="Pythagorean vs equal-temperament reference table",
+    )
+    cmd.set_defaults(handler=cli._cmd_intervals)
+
+    return parser
+
+
+_COMMANDS = (
+    "validate", "graph", "distance", "chords", "scale", "circle", "counterpoint",
+    "render", "intervals",
+)
+_Z12 = ("-p", "4", "-q", "3")
+_SEARCH = ("counterpoint", "search", *_Z12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # Top-level help and errors, and argv that opens with an option.
+        ("--help",),
+        ("-h",),
+        (),
+        ("no-such-command",),
+        ("--",),
+        ("--", "validate", *_Z12),
+        ("-x", "validate", *_Z12),
+        ("-5",),
+        *((name, "--help") for name in _COMMANDS),
+        # The malformed shapes of the search-queries benchmark workload.
+        ("validate", "-p", "4"),
+        ("validate", "-p", "6", "-q", "4"),
+        ("distance", *_Z12, "x", "1"),
+        (*_SEARCH, "--weak", "--strong"),
+        ("counterpoint", "search", "-p", "5", "-q", "2", "--strong", "--json"),
+        (*_SEARCH, "--strong", "--consonants", "1,x"),
+        ("counterpoint", "search", "-n", "12", *_Z12, "--weak"),
+        ("scale", *_Z12),
+        ("chords", *_Z12, "--root", "1"),
+        # One valid call of each of its kinds, and of the other quick commands.
+        (*_SEARCH, "--strong", "--json"),
+        (*_SEARCH, "--strong", "--consonants", "0,3,4,7,8,9", "--pretty"),
+        (*_SEARCH, "--weak", "--json"),
+        ("counterpoint", "search", "-p", "5", "-q", "2", "--maximal", "--json"),
+        ("distance", *_Z12, "1", "8", "--oriented", "--json"),
+        ("circle", *_Z12, "--json"),
+        ("scale", *_Z12, "--root", "2", "--quality", "minor", "--json"),
+        ("chords", *_Z12, "--json"),
+        ("chords", *_Z12, "--root", "5", "--quality", "major"),
+        ("validate", *_Z12, "--json"),
+        ("graph", *_Z12, "--oriented"),
+        ("intervals",),
+    ],
+    ids=lambda argv: " ".join(argv) or "(none)",
+)
+def test_main_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_build_parser", _parent_build_parser)
+        expected = run(capsys, *argv)
+    assert run(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, most",
+    [
+        (("validate", *_Z12), 17),
+        ((*_SEARCH, "--weak", "--json"), 26),
+        (("--help",), 10),
+    ],
+)
+def test_a_call_adds_only_the_arguments_of_its_command(capsys, monkeypatch, argv, most):
+    # Every command with all its arguments takes 37 add_argument calls.
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) <= most
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["cayleytones", *_SEARCH, "--weak", "--json"])
+    assert main() == 0
+    weak = capsys.readouterr().out
+    assert run(capsys, *_SEARCH, "--weak", "--json") == (0, weak, "")
