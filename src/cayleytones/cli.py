@@ -126,7 +126,11 @@ def _parse_residues(text: str, n: int) -> frozenset[int]:
         raise CliError(f"could not parse residue list {text!r}") from None
     if not values:
         raise CliError("--consonants needs at least one residue")
-    return frozenset(value % n for value in values)
+    for i, value in enumerate(values):
+        if not 0 <= value < n or value in values[:i]:
+            what = "listed twice" if 0 <= value < n else f"not in 0..{n - 1}"
+            raise CliError(f"--consonants residue {value} is {what}")
+    return frozenset(values)
 
 
 def _table(result) -> str:
@@ -226,12 +230,8 @@ def _system_flags(cmd: argparse.ArgumentParser) -> None:
 
 
 def _output_flags(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument(
-        "--json", action="store_true", help="machine-readable JSON on stdout"
-    )
-    cmd.add_argument(
-        "--pretty", action="store_true", help="indent JSON / prefer tables"
-    )
+    cmd.add_argument("--json", action="store_true", help="machine-readable JSON on stdout")
+    cmd.add_argument("--pretty", action="store_true", help="indent JSON / prefer tables")
 
 
 def _query_flags(cmd: argparse.ArgumentParser) -> None:
@@ -313,11 +313,11 @@ _COMMANDS = (
 
 
 def _build_parser(command: str) -> _Parser:
-    """The parser of every command, with arguments and handler for `command`.
+    """The parser of every command, built in full only for `command`.
 
-    All commands are listed, for --help and the "invalid choice" error. An
-    argv that opens with an option other than help may name its command
-    later (`-x validate ...`), so then every command gets its arguments.
+    The others are listed, without even -h, for --help and the "invalid
+    choice" error. An argv that opens with an option other than help may
+    name its command later (`-x validate ...`), so then all are built.
     """
     parser = _Parser(
         prog="cayleytones",
@@ -327,8 +327,8 @@ def _build_parser(command: str) -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     every = command.startswith("-") and command not in ("-h", "--help")
     for name, text, add_arguments, handler in _COMMANDS:
-        cmd = sub.add_parser(name, help=text)
-        if every or name == command:
+        cmd = sub.add_parser(name, help=text, add_help=every or name == command)
+        if cmd.add_help:
             add_arguments(cmd)
             cmd.set_defaults(handler=handler)
     return parser

@@ -265,6 +265,33 @@ def test_counterpoint_strong_refuses_an_empty_consonant_list(capsys, text):
     assert err == "error: --consonants needs at least one residue\n"
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [("15,3,4,7,8,9", 15), ("0,3,4,7,8,9,12", 12), ("3,4,-1", -1)],
+)
+def test_counterpoint_strong_refuses_a_residue_outside_the_ring(capsys, text, value):
+    # 15 and 12 once reduced mod 12 onto a residue already listed, and the
+    # search ran silently on one residue fewer.
+    code, out, err = run(
+        capsys,
+        "counterpoint", "search", "--strong", "-p", "4", "-q", "3",
+        "--consonants", text,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --consonants residue {value} is not in 0..11\n"
+
+
+@pytest.mark.parametrize("text", ["0,3,4,7,8,9,3", "3 3"])
+def test_counterpoint_strong_refuses_a_residue_listed_twice(capsys, text):
+    code, out, err = run(
+        capsys,
+        "counterpoint", "search", "--strong", "-p", "4", "-q", "3",
+        "--consonants", text,
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: --consonants residue 3 is listed twice\n"
+
+
 def test_counterpoint_strong_refuses_an_unparsable_consonant_list(capsys):
     code, out, err = run(
         capsys,
@@ -1313,13 +1340,15 @@ def test_main_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
 @pytest.mark.parametrize(
     "argv, most",
     [
-        (("validate", *_Z12), 17),
-        ((*_SEARCH, "--weak", "--json"), 26),
-        (("--help",), 10),
+        (("validate", *_Z12), 9),
+        ((*_SEARCH, "--weak", "--json"), 18),
+        (("--help",), 1),
     ],
 )
 def test_a_call_adds_only_the_arguments_of_its_command(capsys, monkeypatch, argv, most):
-    # Every command with all its arguments takes 37 add_argument calls.
+    # Every command with all its arguments takes 37 add_argument calls. A
+    # call adds the top-level -h, then -h and the arguments of its command
+    # alone: the other eight are listed without even a -h.
     calls = []
     add_argument = argparse._ActionsContainer.add_argument
 
