@@ -230,8 +230,12 @@ def _system_flags(cmd: argparse.ArgumentParser) -> None:
 
 
 def _output_flags(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--json", action="store_true", help="machine-readable JSON on stdout")
-    cmd.add_argument("--pretty", action="store_true", help="indent JSON / prefer tables")
+    cmd.add_argument(
+        "--json", action="store_true", help="machine-readable JSON on stdout"
+    )
+    cmd.add_argument(
+        "--pretty", action="store_true", help="indent JSON / prefer tables"
+    )
 
 
 def _query_flags(cmd: argparse.ArgumentParser) -> None:

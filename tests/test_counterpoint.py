@@ -14,7 +14,9 @@ from cayleytones.counterpoint import (
     NoStrongDichotomyError,
     PartitionRecord,
     SearchReport,
+    _choices,
     _involutive_isometries,
+    _orbit_pairs,
     enumerate_weak_witnesses,
     extend_to_partitions,
     find_affine_for_partition,
@@ -294,6 +296,60 @@ def test_maximal_extension_is_every_largest_set_kept_off_its_image():
                 (r.consonant, r.dissonant, r.multiplier, r.offset, r.strong_witness_count)
                 for r in report.partitions
             ] == expected, (p, q, T)
+
+
+def test_a_half_is_strong_under_exactly_the_witnesses_that_produce_it():
+    """The recount of extend_to_partitions gives what its producers give.
+
+    For every half K of the even systems with n <= 26 whose seed fits in a
+    half, the strong witnesses of K, by (h, w), are the reaching weak
+    witnesses (those that fix no residue off the seed and its image) whose
+    choices hold K; K's record names the first of them and their count.
+    """
+    halves = 0
+    for p, q in SMALL_SYSTEMS:
+        system, seed, graph = _setup(p, q)
+        n, members = system.n, seed.members
+        if n % 2 or n > 26 or 2 * len(members) > n:
+            continue
+        producers = {}
+        for T in enumerate_weak_witnesses(seed).witnesses:
+            pairs = _orbit_pairs(T, members)
+            if len(pairs) == n // 2 - len(members):
+                for K in _choices(members, pairs):
+                    producers.setdefault(K, []).append(T)
+        report = extend_to_partitions(seed)
+        assert {frozenset(r.consonant) for r in report.partitions} == set(producers)
+        for record in report.partitions:
+            K, D = frozenset(record.consonant), frozenset(record.dissonant)
+            made = producers[K]
+            assert find_affine_for_partition(Dichotomy(system.ring, K, D), seed) == made
+            first = AffineMap(system.ring, record.multiplier, record.offset)
+            assert (first, record.strong_witness_count) == (made[0], len(made)), (n, K)
+        halves += len(report.partitions)
+    assert halves == 7968
+
+
+def test_the_involutive_isometries_have_two_or_four_multipliers():
+    """For every system with n <= 200, the multipliers h of the table (h^2 = 1,
+    hS = S) are {1, -1} when q = 2 and {1, -1, u, -u}, u != +-1, otherwise."""
+    systems = [
+        (p, q) for p in range(3, 101) for q in range(2, p)
+        if p * q <= 200 and math.gcd(p, q) == 1
+    ]
+    assert (len(systems), sum(q == 2 for p, q in systems)) == (201, 49)
+    for p, q in systems:
+        system = system_from_factors(p, q)
+        n = system.n
+        table = _involutive_isometries(system.symmetric_generator_set)
+        multipliers = {T.multiplier for T in table}
+        assert {1, n - 1} <= multipliers, (p, q)
+        others = multipliers - {1, n - 1}
+        if q == 2:
+            assert not others, (p, q, sorted(others))
+        else:
+            u = min(others)
+            assert others == {u, n - u} and u * u % n == 1, (p, q, sorted(others))
 
 
 @pytest.fixture(scope="module")
