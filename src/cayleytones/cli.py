@@ -127,9 +127,10 @@ def _parse_residues(text: str, n: int) -> frozenset[int]:
     if not values:
         raise CliError("--consonants needs at least one residue")
     for i, value in enumerate(values):
-        if not 0 <= value < n or value in values[:i]:
-            what = "listed twice" if 0 <= value < n else f"not in 0..{n - 1}"
-            raise CliError(f"--consonants residue {value} is {what}")
+        if not 0 <= value < n:
+            raise CliError(f"--consonants residue {value} is not in 0..{n - 1}")
+        if value in values[:i]:
+            raise CliError(f"--consonants residue {value} is listed twice")
     return frozenset(values)
 
 

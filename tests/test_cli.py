@@ -270,8 +270,8 @@ def test_counterpoint_strong_refuses_an_empty_consonant_list(capsys, text):
     [("15,3,4,7,8,9", 15), ("0,3,4,7,8,9,12", 12), ("3,4,-1", -1)],
 )
 def test_counterpoint_strong_refuses_a_residue_outside_the_ring(capsys, text, value):
-    # 15 and 12 once reduced mod 12 onto a residue already listed, and the
-    # search ran silently on one residue fewer.
+    # Reduced mod 12, 15 and 12 would fall on residues already listed, and
+    # the search would run on one residue fewer.
     code, out, err = run(
         capsys,
         "counterpoint", "search", "--strong", "-p", "4", "-q", "3",
