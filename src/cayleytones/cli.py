@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
+import shutil
 import sys
 from typing import Optional
 
@@ -55,6 +57,13 @@ def _system(args: argparse.Namespace) -> MusicalSystem:
     return system_from_factors(args.p, args.q, args.s, args.f0)
 
 
+def _residue(name: str, value: int, n: int) -> int:
+    """value, refused unless it is in 0..n-1: no argument is reduced mod n."""
+    if not 0 <= value < n:
+        raise CliError(f"{name} {value} is not in 0..{n - 1}")
+    return value
+
+
 def _join(values, sep: str = " ") -> str:
     return sep.join(str(x) for x in values)
 
@@ -85,7 +94,9 @@ def _cmd_distance(args: argparse.Namespace) -> _Output:
     system = _system(args)
     graph = CayleyGraph(system.generator_set, oriented=args.oriented)
     measure = graph.oriented_path_length if args.oriented else graph.distance
-    length = measure(args.a, args.b)
+    length = measure(
+        _residue("start note", args.a, system.n), _residue("end note", args.b, system.n)
+    )
     payload = {"from": args.a, "to": args.b, "oriented": args.oriented, "length": length}
     return payload, str(length)
 
@@ -100,7 +111,7 @@ def _cmd_chords(args: argparse.Namespace) -> _Output:
             f"{entry.name}: " + _join(f"+{w}" for w in entry.steps)
             for entry in entries
         )
-    root = args.root if args.root is not None else 0
+    root = 0 if args.root is None else _residue("--root", args.root, system.n)
     small = triad(system, root, args.quality)
     big = largest_chord_within_octave(system, root, args.quality)
     return {"triad": small.to_dict(), "largest_within_octave": big.to_dict()}, (
@@ -109,7 +120,8 @@ def _cmd_chords(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_scale(args: argparse.Namespace) -> _Output:
-    result = scale(_system(args), args.root, args.quality)
+    system = _system(args)
+    result = scale(system, _residue("--root", args.root, system.n), args.quality)
     return result.to_dict(), _join(result.notes)
 
 
@@ -126,12 +138,12 @@ def _parse_residues(text: str, n: int) -> frozenset[int]:
         raise CliError(f"could not parse residue list {text!r}") from None
     if not values:
         raise CliError("--consonants needs at least one residue")
-    for i, value in enumerate(values):
-        if not 0 <= value < n:
-            raise CliError(f"--consonants residue {value} is not in 0..{n - 1}")
-        if value in values[:i]:
+    seen: set[int] = set()
+    for value in values:
+        if _residue("--consonants residue", value, n) in seen:
             raise CliError(f"--consonants residue {value} is listed twice")
-    return frozenset(values)
+        seen.add(value)
+    return frozenset(seen)
 
 
 def _table(result) -> str:
@@ -177,7 +189,11 @@ def _search(args: argparse.Namespace, system: MusicalSystem):
             raise CliError("--maximal takes both --multiplier and --offset")
         witness = None
         if args.multiplier is not None:
-            witness = AffineMap(system.ring, args.multiplier, args.offset)
+            witness = AffineMap(
+                system.ring,
+                _residue("--multiplier", args.multiplier, system.n),
+                _residue("--offset", args.offset, system.n),
+            )
         return maximal_consonant_extension(seed, witness)
     report = extend_to_partitions(seed)
     if args.mode == "refine":
@@ -323,16 +339,27 @@ def _build_parser(command: str) -> _Parser:
     The others are listed, without even -h, for --help and the "invalid
     choice" error. An argv that opens with an option other than help may
     name its command later (`-x validate ...`), so then all are built.
+    The top-level -h is added only for an argv that opens with an option,
+    as no other argv reaches it. The terminal width is read once here, not
+    once per HelpFormatter that argparse builds.
     """
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
     parser = _Parser(
         prog="cayleytones",
         description="Musical systems on Z_n = Z_pq: graphs, chords, "
         "counterpoint searches, and WAV rendering.",
+        formatter_class=formatter,
+        add_help=command.startswith("-"),
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    sub = parser.add_subparsers(
+        prog="cayleytones", dest="command", required=True, metavar="command"
+    )
     every = command.startswith("-") and command not in ("-h", "--help")
     for name, text, add_arguments, handler in _COMMANDS:
-        cmd = sub.add_parser(name, help=text, add_help=every or name == command)
+        cmd = sub.add_parser(
+            name, help=text, add_help=every or name == command, formatter_class=formatter
+        )
         if cmd.add_help:
             add_arguments(cmd)
             cmd.set_defaults(handler=handler)

@@ -214,6 +214,49 @@ def test_chords_triad_json(capsys):
     assert data["largest_within_octave"]["notes"] == [0, 4, 7, 11]
 
 
+_MAXIMAL = ("counterpoint", "search", "-p", "4", "-q", "3", "--maximal")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("distance", "-p", "4", "-q", "3", "13", "1", "--json"), "start note 13"),
+        (("distance", "-p", "4", "-q", "3", "0", "12"), "end note 12"),
+        (("scale", "-p", "4", "-q", "3", "--root", "14", "--quality", "major"),
+         "--root 14"),
+        (("chords", "-p", "4", "-q", "3", "--root", "-1", "--quality", "major"),
+         "--root -1"),
+        ((*_MAXIMAL, "--multiplier", "17", "--offset", "14"), "--multiplier 17"),
+        ((*_MAXIMAL, "--multiplier", "5", "--offset", "-10"), "--offset -10"),
+    ],
+    ids=["a", "b", "scale-root", "chords-root", "multiplier", "offset"],
+)
+def test_a_residue_argument_outside_the_ring_exits_2(capsys, argv, named):
+    # Each of these once ran on its value reduced mod 12 and exited 0.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {named} is not in 0..11\n"
+
+
+def test_residue_arguments_take_0_and_n_minus_1(capsys):
+    assert run(capsys, "distance", "-p", "4", "-q", "3", "11", "0") == (0, "2\n", "")
+    code, out, err = run(
+        capsys, "scale", "-p", "4", "-q", "3", "--root", "11", "--quality", "major"
+    )
+    assert (code, out) == (0, " ".join(map(str, scale(Z12, 11, MAJOR).notes)) + "\n")
+    code, out, err = run(
+        capsys,
+        "chords", "-p", "4", "-q", "3", "--root", "11", "--quality", "major", "--json",
+    )
+    assert (code, json.loads(out)["triad"]["notes"]) == (0, [11, 3, 6])
+    code, out, err = run(
+        capsys,
+        "counterpoint", "search", "-p", "5", "-q", "3", "--maximal",
+        "--multiplier", "14", "--offset", "14",
+    )
+    assert (code, json.loads(out)["witnesses"]) == (0, [{"h": 14, "w": 14}])
+
+
 def test_graph_dot_output(capsys, tmp_path):
     code, out, err = run(capsys, "graph", "-p", "4", "-q", "3")
     assert code == 0
@@ -1290,9 +1333,18 @@ _Z12 = ("-p", "4", "-q", "3")
 _SEARCH = ("counterpoint", "search", *_Z12)
 
 
+def _at(argv, columns=80):
+    name = " ".join(argv) or "(none)"
+    return pytest.param(argv, columns, id=f"{name} @{columns}" if columns != 80 else name)
+
+
+# Help wraps at the terminal width, which each call reads from COLUMNS.
+_HELP = (("--help",), ("validate", "-h"), ("counterpoint", "--help"), ("render", "-h"))
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
+    "argv, columns",
+    [_at(argv) for argv in [
         # Top-level help and errors, and argv that opens with an option.
         ("--help",),
         ("-h",),
@@ -1326,11 +1378,13 @@ _SEARCH = ("counterpoint", "search", *_Z12)
         ("validate", *_Z12, "--json"),
         ("graph", *_Z12, "--oriented"),
         ("intervals",),
-    ],
-    ids=lambda argv: " ".join(argv) or "(none)",
+        ("validate", "-h"),
+        ("render", "-h"),
+    ]]
+    + [_at(argv, columns) for argv in _HELP for columns in (60, 133)],
 )
-def test_main_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
-    monkeypatch.setenv("COLUMNS", "80")
+def test_main_prints_what_the_full_parser_prints(capsys, monkeypatch, argv, columns):
+    monkeypatch.setenv("COLUMNS", str(columns))
     with monkeypatch.context() as patch:
         patch.setattr(cli, "_build_parser", _parent_build_parser)
         expected = run(capsys, *argv)
@@ -1340,15 +1394,16 @@ def test_main_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
 @pytest.mark.parametrize(
     "argv, most",
     [
-        (("validate", *_Z12), 9),
-        ((*_SEARCH, "--weak", "--json"), 18),
+        (("validate", *_Z12), 8),
+        ((*_SEARCH, "--weak", "--json"), 17),
         (("--help",), 1),
     ],
 )
 def test_a_call_adds_only_the_arguments_of_its_command(capsys, monkeypatch, argv, most):
     # Every command with all its arguments takes 37 add_argument calls. A
-    # call adds the top-level -h, then -h and the arguments of its command
-    # alone: the other eight are listed without even a -h.
+    # call that names its command adds -h and the arguments of that command
+    # alone: the top-level parser and the other eight are built without -h.
+    # --help adds only the top-level -h.
     calls = []
     add_argument = argparse._ActionsContainer.add_argument
 
