@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from ._value import value_type
 from .cayley import MAX_MODULUS
@@ -22,6 +22,8 @@ SAMPLE_RATE = 44100
 _WAV_MAX_FRAMES = (2**32 - 1 - 36) // 2
 # Samples per block that one render thread makes at a time.
 BLOCK = 32_768
+# Batches a render thread may have made, or be making, ahead of the writer.
+IN_FLIGHT = 2
 
 
 class InvalidEnvelopeError(ValueError):
@@ -282,8 +284,12 @@ class RenderPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RenderPlan":
-        _expect(data, dict, "a render plan")
-        sysdata = _expect(data["system"], dict, "system")
+        """The plan in a plan file's JSON object; a key it does not read, in
+        any object, is refused rather than ignored."""
+        _object(
+            data, "a render plan", "system", "events", "envelope", "modulation_depth"
+        )
+        sysdata = _object(data["system"], "system", "p", "q", "n", "s", "f0")
         p, q = _integer(sysdata["p"], "p"), _integer(sysdata["q"], "q")
         system = validate_system(
             _integer(sysdata.get("n", p * q), "n"),
@@ -294,10 +300,11 @@ class RenderPlan:
         )
         events = []
         for entry in _expect(data["events"], list, "events"):
-            kind = _expect(entry, dict, "an event")["kind"]
+            kind = _object(entry, "an event", "kind", "duration", "notes")["kind"]
             notes = []
             for item in _expect(entry.get("notes", []), list, "notes"):
                 if isinstance(item, dict):
+                    _object(item, "a note", "note", "octave")
                     note, octave = item["note"], item.get("octave", 0)
                 else:
                     note, octave = item, 0
@@ -317,6 +324,14 @@ def _expect(value, kind: type, what: str):
     if not isinstance(value, kind):
         shape = "an object" if kind is dict else "a list"
         raise ValueError(f"{what} must be {shape}, got {type(value).__name__}")
+    return value
+
+
+def _object(value, what: str, *keys: str) -> dict:
+    """value itself if it is a JSON object with no key but keys."""
+    for key in _expect(value, dict, what):
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {what}")
     return value
 
 
@@ -344,8 +359,8 @@ def envelope_from_dict(data: Optional[dict]) -> Optional[Envelope]:
     """Envelope from a plan file's optional 'envelope' object."""
     if data is None:
         return None
-    _expect(data, dict, "envelope")
     # Every Envelope field has a default, so these are all of them, in order.
+    _object(data, "envelope", *Envelope._field_defaults)
     return Envelope(
         *(
             _real(data.get(name, default), name)
@@ -381,48 +396,60 @@ def _batches(plan: RenderPlan) -> Iterator[list[tuple]]:
     yield batch
 
 
-def _render_events(plan: RenderPlan) -> Iterator[np.ndarray]:
-    """The plan's samples in blocks of at most BLOCK, in plan order.
+def _render_events(
+    plan: RenderPlan, finish: Optional[Callable[[np.ndarray], np.ndarray]] = None
+) -> Iterator[np.ndarray]:
+    """Each batch of the plan's samples (see _batches) passed through finish,
+    by default a copy, in plan order.
 
-    Batches of blocks (see _batches) are made on one thread per CPU
-    (numpy's sin releases the GIL), at most one batch per thread at a time:
-    the next is sent once the oldest is written. Every array is allocated
-    here, on the calling thread, before the first batch is sent: one set of
-    time axis, envelope, voice and output arrays per thread, reused batch
-    after batch, and each block is copied out of its set as it is yielded.
-    So memory is set by BLOCK and the thread count, not by the plan or the
-    order in which the threads run. Each sample is made by the same
-    elementwise steps whatever its block, so the output does not depend on
-    the thread count.
+    Batches are made on one thread per CPU (numpy's sin releases the GIL),
+    and each is passed to finish on the thread that made it; finish must
+    not keep the array it is given, which is reused. At most IN_FLIGHT
+    batches a thread are in flight, made or being made but not yet
+    yielded: the next is sent once the oldest is yielded. Every work array
+    is allocated here, on the calling thread, before the first batch is
+    sent: one set of time axis, envelope, voice and output arrays per
+    thread, which a batch takes from a free list and puts back once it is
+    finished. So memory is set by BLOCK, IN_FLIGHT and the thread count,
+    not by the plan or the order in which the threads run. Each sample is
+    made by the same elementwise steps whatever its block, so the output
+    does not depend on the thread count.
     """
-    # Imported here, as only rendering needs it and it slows every start-up.
+    # Imported here, as only rendering needs them and they slow every start-up.
     from concurrent.futures import ThreadPoolExecutor
+    from queue import SimpleQueue
 
     import numpy as np
 
+    if finish is None:
+        finish = np.copy
     threads = _thread_count()
     counts = [round(SAMPLE_RATE * event.duration) for event in plan.events]
     # The time axis, envelope and voice hold one block; the output one batch.
     block, batch_size = min(BLOCK, max(counts)), min(BLOCK, sum(counts))
     ramp = np.arange(block, dtype=np.float64)
-    works = [(*np.empty((3, block)), np.empty(batch_size)) for _ in range(threads)]
+    free = SimpleQueue()
+    for _ in range(threads):
+        free.put((ramp, *np.empty((3, block)), np.empty(batch_size)))
+
+    def made(batch: list[tuple]) -> np.ndarray:
+        # The pool runs at most one batch a thread, so a set is always free.
+        work = free.get()
+        try:
+            return finish(
+                _make_blocks(batch, work, plan.envelope, plan.modulation_depth)
+            )
+        finally:
+            free.put(work)
+
     with ThreadPoolExecutor(threads) as pool:
         pending = deque()
-        for i, batch in enumerate(_batches(plan)):
-            if len(pending) == threads:
-                yield from (piece.copy() for piece in pending.popleft().result())
-            # Set i % threads last served batch i - threads, copied out above.
-            pending.append(
-                pool.submit(
-                    _make_blocks,
-                    batch,
-                    (ramp, *works[i % threads]),
-                    plan.envelope,
-                    plan.modulation_depth,
-                )
-            )
+        for batch in _batches(plan):
+            if len(pending) == IN_FLIGHT * threads:
+                yield pending.popleft().result()
+            pending.append(pool.submit(made, batch))
         while pending:
-            yield from (piece.copy() for piece in pending.popleft().result())
+            yield pending.popleft().result()
 
 
 def _make_blocks(
@@ -430,26 +457,23 @@ def _make_blocks(
     work: tuple[np.ndarray, ...],
     envelope: Optional[Envelope],
     modulation_depth: float,
-) -> list[np.ndarray]:
-    """Each block of a batch, made in turn in the work arrays (ramp, t, g,
-    voice, output) and laid end to end in output."""
+) -> np.ndarray:
+    """The samples of a batch: each block made in turn in the work arrays
+    (ramp, t, g, voice, output) and laid end to end at the start of output."""
     *scratch, output = work
-    pieces, offset = [], 0
+    offset = 0
     for duration, frequencies, start, stop in batch:
-        mixed = output[offset : offset + stop - start]
-        pieces.append(
-            _event_samples(
-                duration,
-                frequencies,
-                envelope,
-                modulation_depth,
-                start,
-                stop,
-                (*scratch, mixed),
-            )
+        _event_samples(
+            duration,
+            frequencies,
+            envelope,
+            modulation_depth,
+            start,
+            stop,
+            (*scratch, output[offset : offset + stop - start]),
         )
         offset += stop - start
-    return pieces
+    return output[:offset]
 
 
 def _event_samples(
@@ -495,7 +519,7 @@ def _event_samples(
 
 
 def render(plan: RenderPlan) -> SampleBuffer:
-    """The plan's blocks (see _render_events) concatenated into one buffer;
+    """The plan's batches (see _render_events) concatenated into one buffer;
     rests render as silence."""
     import numpy as np
 
@@ -507,8 +531,8 @@ def _quantize(samples: np.ndarray) -> np.ndarray:
 
     Works in place on one scaled copy: floor(|x| * 32767 + 0.5), then the
     sign of x put back (so -0.0 stays -0.0 and quantizes to 0). x is finite:
-    _write_pieces checks that first. Each step is a plain ufunc, which
-    releases the GIL to the render threads.
+    _pcm checks that first. Each step is a plain ufunc, which releases the
+    GIL to the other render threads.
     """
     import numpy as np
 
@@ -521,16 +545,25 @@ def _quantize(samples: np.ndarray) -> np.ndarray:
     return scaled.astype("<i2")
 
 
-def _write_pieces(pieces: Iterable[np.ndarray], sample_rate: int, path) -> int:
-    """Write the pieces in order as one WAV file; return its frame count.
+def _pcm(samples: np.ndarray) -> np.ndarray:
+    """The int16 samples of a WAV file (see _quantize), or ValueError if a
+    sample is not finite."""
+    import numpy as np
 
-    Each piece is checked and quantized as it arrives, so only one is held
-    at a time. If anything fails once the file is open, including a piece
-    that is not finite, the partial file is removed and the error re-raised.
+    if not np.isfinite(samples).all():
+        raise ValueError("cannot write non-finite samples (NaN or inf) to a WAV file")
+    return _quantize(samples)
+
+
+def _write_pieces(pieces: Iterable[np.ndarray], sample_rate: int, path) -> int:
+    """Write the int16 pieces (see _pcm) in order as one WAV file; return
+    its frame count.
+
+    Each piece is written as it arrives. If anything fails once the file is
+    open, including making a piece, the partial file is removed and the
+    error re-raised.
     """
     import wave
-
-    import numpy as np
 
     frames = 0
     # Opening the file first keeps a bad path to the one OSError: given a
@@ -542,11 +575,7 @@ def _write_pieces(pieces: Iterable[np.ndarray], sample_rate: int, path) -> int:
                 handle.setsampwidth(2)
                 handle.setframerate(sample_rate)
                 for piece in pieces:
-                    if not np.isfinite(piece).all():
-                        raise ValueError(
-                            "cannot write non-finite samples (NaN or inf) to a WAV file"
-                        )
-                    handle.writeframesraw(_quantize(piece))
+                    handle.writeframesraw(piece)
                     frames += len(piece)
         except BaseException:
             raw.close()
@@ -558,8 +587,16 @@ def _write_pieces(pieces: Iterable[np.ndarray], sample_rate: int, path) -> int:
 
 
 def write_wav(buffer: SampleBuffer, path) -> None:
-    """16-bit signed little-endian PCM, mono, standard RIFF header."""
-    _write_pieces([buffer.samples], buffer.sample_rate, path)
+    """16-bit signed little-endian PCM, mono, standard RIFF header.
+
+    The samples are checked and quantized one BLOCK at a time, so the
+    int16 copy never holds more than one block."""
+    samples = buffer.samples
+    _write_pieces(
+        (_pcm(samples[i : i + BLOCK]) for i in range(0, len(samples), BLOCK)),
+        buffer.sample_rate,
+        path,
+    )
 
 
 def read_wav(path) -> SampleBuffer:

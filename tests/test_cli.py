@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -769,6 +771,35 @@ def test_system_past_the_modulus_bound_is_refused(capsys, argv):
     assert (code, out, err) == (2, "", "error: modulus above supported maximum 4096\n")
 
 
+@pytest.mark.parametrize(
+    "plan, message",
+    [
+        (dict(_note_plan(), modulation_dept=0.5), "'modulation_dept' in a render plan"),
+        (_note_plan(system={"p": 4, "q": 3, "f_0": 100}), "'f_0' in system"),
+        (
+            _note_plan(events=[{"kind": "note", "duration": 0.3, "notes": [0], "octave": 1}]),
+            "'octave' in an event",
+        ),
+        (
+            _note_plan(events=[{"kind": "note", "duration": 0.3,
+                                "notes": [{"note": 0, "octava": 1}]}]),
+            "'octava' in a note",
+        ),
+        (
+            _note_plan(envelope={"attack": 0.02, "sustian_level": 0.1}),
+            "'sustian_level' in envelope",
+        ),
+    ],
+    ids=["plan", "system", "event", "note", "envelope"],
+)
+def test_render_refuses_a_key_the_plan_format_does_not_have(
+    capsys, tmp_path, plan, message
+):
+    code, out, err, out_path = _render_cli(capsys, tmp_path, plan)
+    assert (code, out, err) == (2, "", f"error: unknown key {message}\n")
+    assert not out_path.exists()
+
+
 def test_render_into_missing_directory_is_one_line(tmp_path):
     # A subprocess, because the stray traceback this guards against came
     # from a destructor, past what capsys captures.
@@ -1170,6 +1201,71 @@ def test_render_removes_the_file_when_a_later_event_is_not_finite(
     assert err.startswith("error: cannot write non-finite samples")
     assert err.count("\n") == 1
     assert not out_path.exists()
+
+
+# A note of 20 batches, then a rest of 10: more batches than 2 x 4 threads.
+MANY_BATCHES_PLAN = _note_plan(
+    events=[
+        {"kind": "note", "duration": 20 * audio.BLOCK / audio.SAMPLE_RATE, "notes": [0]},
+        {"kind": "rest", "duration": 10 * audio.BLOCK / audio.SAMPLE_RATE},
+    ]
+)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_a_non_finite_sample_made_on_a_render_thread_exits_2(
+    capsys, tmp_path, monkeypatch, threads
+):
+    monkeypatch.setattr(audio, "_thread_count", lambda: threads)
+    real = audio._voice
+    late = 17 * audio.BLOCK / audio.SAMPLE_RATE
+
+    def poisoned(out, t, *args):
+        real(out, t, *args)
+        # One block of the 18th batch, found by its times whatever the thread.
+        if t[0] == late:
+            out[5] = np.nan
+
+    monkeypatch.setattr(audio, "_voice", poisoned)
+    code, out, err, out_path = _render_cli(capsys, tmp_path, MANY_BATCHES_PLAN)
+    assert (code, out, err) == (
+        2, "", "error: cannot write non-finite samples (NaN or inf) to a WAV file\n"
+    )
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_render_makes_at_most_two_batches_a_thread_ahead_of_the_writer(
+    capsys, tmp_path, monkeypatch, threads
+):
+    monkeypatch.setattr(audio, "_thread_count", lambda: threads)
+    lock = threading.Lock()
+    started, written, ahead = [0], [0], []
+    make_blocks, write_pieces = audio._make_blocks, cli._write_pieces
+
+    def counted_make_blocks(*args):
+        with lock:
+            started[0] += 1
+            ahead.append(started[0] - written[0])
+        return make_blocks(*args)
+
+    def counted(pieces):
+        for piece in pieces:
+            yield piece
+            # A slow writer, so the render threads run as far ahead as they may.
+            time.sleep(0.005)
+            # Asked for the next piece, so this one is written.
+            with lock:
+                written[0] += 1
+
+    monkeypatch.setattr(audio, "_make_blocks", counted_make_blocks)
+    monkeypatch.setattr(
+        cli, "_write_pieces", lambda pieces, *args: write_pieces(counted(pieces), *args)
+    )
+    code, out, err, out_path = _render_cli(capsys, tmp_path, MANY_BATCHES_PLAN)
+    assert (code, err) == (0, "")
+    assert started == written == [30]
+    assert max(ahead) == 2 * threads
 
 
 @pytest.mark.parametrize(

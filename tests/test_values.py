@@ -174,7 +174,9 @@ def test_sample_buffers_compare_by_rate_and_samples_and_are_unhashable():
 def test_envelope_from_dict_reads_each_field_by_name_with_its_default():
     assert envelope_from_dict({}) == Envelope()
     values = {"attack": 0.1, "decay": 0.2, "sustain_level": 0.3, "release": 0.4}
-    assert envelope_from_dict(dict(values, hold=9)) == Envelope(**values)
+    assert envelope_from_dict(values) == Envelope(**values)
+    with pytest.raises(ValueError, match="unknown key 'hold' in envelope"):
+        envelope_from_dict(dict(values, hold=9))
     with pytest.raises(ValueError, match="release must be a number, got 'x'"):
         envelope_from_dict({"release": "x"})
 
