@@ -590,7 +590,7 @@ def write_wav(buffer: SampleBuffer, path) -> None:
     """16-bit signed little-endian PCM, mono, standard RIFF header.
 
     The samples are checked and quantized one BLOCK at a time, so the
-    int16 copy never holds more than one block."""
+    copies that takes never hold more than one block."""
     samples = buffer.samples
     _write_pieces(
         (_pcm(samples[i : i + BLOCK]) for i in range(0, len(samples), BLOCK)),
