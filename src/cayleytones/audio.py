@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from ._value import value_type
 from .cayley import MAX_MODULUS
@@ -20,10 +20,12 @@ if TYPE_CHECKING:
 SAMPLE_RATE = 44100
 # RIFF sizes are 32-bit: the 36 header bytes and 2 bytes a frame must fit.
 _WAV_MAX_FRAMES = (2**32 - 1 - 36) // 2
-# Samples per block that one render thread makes at a time.
-BLOCK = 32_768
-# Batches a render thread may have made, or be making, ahead of the writer.
-IN_FLIGHT = 2
+# Event-relative samples a render step makes of every event sounding there.
+BLOCK = 2048
+# Frequencies in a render thread's voice table of ROWS x BLOCK float64 samples.
+ROWS = 80
+# Samples a render thread mixes before it checks, quantizes and hands them on.
+CHUNK = 32_768
 
 
 class InvalidEnvelopeError(ValueError):
@@ -100,7 +102,14 @@ class SampleBuffer:
 
 
 def _check_duration(duration: float) -> None:
-    """Raise ValueError unless duration lasts at least one sample."""
+    """Raise ValueError unless duration lasts at least one sample and at
+    most what a WAV file holds."""
+    # Checked before rounding, which a product past the float range breaks.
+    if not SAMPLE_RATE * duration <= _WAV_MAX_FRAMES:
+        raise ValueError(
+            f"a {duration} s event lasts more than the {_WAV_MAX_FRAMES} samples "
+            "a WAV file holds"
+        )
     if round(SAMPLE_RATE * duration) == 0:
         raise ValueError(
             f"a {duration} s event is shorter than one sample at {SAMPLE_RATE} Hz"
@@ -139,6 +148,11 @@ class Envelope:
             raise ValueError("envelope segment durations must be nonnegative")
         if not 0 <= self.sustain_level <= 1:
             raise ValueError("sustain level must lie in [0, 1]")
+        if not math.isfinite(self.attack + self.decay + self.release):
+            raise ValueError(
+                "envelope segments must sum to a finite time, got attack "
+                f"{self.attack}, decay {self.decay} and release {self.release}"
+            )
 
     def check_fits(self, duration: float) -> None:
         """Raise InvalidEnvelopeError if the segments outlast the note."""
@@ -149,23 +163,28 @@ class Envelope:
             )
 
     def amplitudes(
-        self, t: np.ndarray, duration: float, out: Optional[np.ndarray] = None
+        self,
+        t: np.ndarray,
+        duration: Optional[float] = None,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """The gain at each time in t, written into out if given.
+        """The gain at each time in t of a note of this duration, written
+        into out if given; with no duration, of a note that has not ended,
+        so without the release.
 
         t must be non-decreasing, as every time axis here is, so that each
         segment is one slice of it; a t that is not is refused with
         ValueError. Attack, decay and release are written in that order, a
-        later segment over an earlier one where they meet.
+        later segment over an earlier one where they meet. Each gain
+        depends only on its own time, the envelope and the duration.
         """
         import numpy as np
 
-        self.check_fits(duration)
+        if duration is not None:
+            self.check_fits(duration)
         if not (t[1:] >= t[:-1]).all():
             raise ValueError("envelope times must be non-decreasing")
-        a, d, r = np.searchsorted(
-            t, (self.attack, self.attack + self.decay, duration - self.release)
-        )
+        a, d = np.searchsorted(t, (self.attack, self.attack + self.decay))
         g = np.empty(len(t), dtype=np.float64) if out is None else out
         g.fill(self.sustain_level)
         if self.attack > 0:
@@ -174,27 +193,29 @@ class Envelope:
             g[a:d] = (
                 1.0 - (1.0 - self.sustain_level) * (t[a:d] - self.attack) / self.decay
             )
-        if self.release > 0:
+        if duration is not None and self.release > 0:
+            r = np.searchsorted(t, duration - self.release)
             g[r:] = self.sustain_level * (duration - t[r:]) / self.release
         return g
 
 
-def _voice(
+def _voices(
     out: np.ndarray,
     t: np.ndarray,
-    g: Optional[np.ndarray],
-    frequency: float,
+    frequencies: Sequence[float],
     modulation_depth: float,
 ) -> None:
-    """Write one voice, g(t) * sin(2*pi*f*(t + m*sin(2*pi*f*t))), into out.
+    """Write the voice of frequencies[j], sin(2*pi*f*(t + m*sin(2*pi*f*t))),
+    into row j of the 2-D out, before any envelope.
 
     The steps, in this order, fix every output bit: phase*t, sin, depth*,
-    t+, phase*, sin, then g*.
+    t+, phase*, sin. Each is elementwise, so a sample does not depend on
+    the other rows or columns of out.
     """
     import numpy as np
 
-    phase = 2.0 * np.pi * frequency
-    np.multiply(t, phase, out=out)
+    phase = (2.0 * np.pi * np.asarray(frequencies, dtype=np.float64))[:, None]
+    np.multiply(phase, t, out=out)
     # t + 0 * sin(...) is t, so a zero depth skips the inner sin bit-exactly.
     if modulation_depth:
         np.sin(out, out=out)
@@ -202,8 +223,6 @@ def _voice(
         np.add(t, out, out=out)
         np.multiply(out, phase, out=out)
     np.sin(out, out=out)
-    if g is not None:
-        np.multiply(out, g, out=out)
 
 
 @value_type
@@ -275,12 +294,16 @@ class RenderPlan:
                 _check_frequency(spec.frequency, f"note {note} at octave {octave}")
             if event.notes and self.envelope is not None:
                 self.envelope.check_fits(event.duration)
-        frames = sum(round(SAMPLE_RATE * event.duration) for event in self.events)
+        frames = self.frames()
         if frames > _WAV_MAX_FRAMES:
             raise ValueError(
                 f"the plan lasts {frames} samples; "
                 f"a WAV file holds at most {_WAV_MAX_FRAMES}"
             )
+
+    def frames(self) -> int:
+        """The samples of the whole plan."""
+        return sum(round(SAMPLE_RATE * event.duration) for event in self.events)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RenderPlan":
@@ -376,227 +399,331 @@ def _thread_count() -> int:
     return os.cpu_count() or 1
 
 
-def _batches(plan: RenderPlan) -> Iterator[list[tuple]]:
-    """The plan's blocks in order, gathered into batches of at most BLOCK
-    samples: (duration, frequencies, start, stop) for each block, where
-    each event is cut into blocks of at most BLOCK samples."""
-    batch, samples = [], 0
-    for event in plan.events:
-        frequencies = [
-            note_frequency(plan.system, note, octave) for note, octave in event.notes
-        ]
-        count = round(SAMPLE_RATE * event.duration)
-        for start in range(0, count, BLOCK):
-            stop = min(start + BLOCK, count)
-            if samples + stop - start > BLOCK:
-                yield batch
-                batch, samples = [], 0
-            batch.append((event.duration, frequencies, start, stop))
-            samples += stop - start
-    yield batch
-
-
-def _render_events(
-    plan: RenderPlan, finish: Optional[Callable[[np.ndarray], np.ndarray]] = None
-) -> Iterator[np.ndarray]:
-    """Each batch of the plan's samples (see _batches) passed through finish,
-    by default a copy, in plan order.
-
-    Batches are made on one thread per CPU (numpy's sin releases the GIL),
-    and each is passed to finish on the thread that made it; finish must
-    not keep the array it is given, which is reused. At most IN_FLIGHT
-    batches a thread are in flight, made or being made but not yet
-    yielded: the next is sent once the oldest is yielded. Every work array
-    is allocated here, on the calling thread, before the first batch is
-    sent: one set of time axis, envelope, voice and output arrays per
-    thread, which a batch takes from a free list and puts back once it is
-    finished. So memory is set by BLOCK, IN_FLIGHT and the thread count,
-    not by the plan or the order in which the threads run. Each sample is
-    made by the same elementwise steps whatever its block, so the output
-    does not depend on the thread count.
-    """
-    # Imported here, as only rendering needs them and they slow every start-up.
-    from concurrent.futures import ThreadPoolExecutor
-    from queue import SimpleQueue
-
-    import numpy as np
-
-    if finish is None:
-        finish = np.copy
-    threads = _thread_count()
-    counts = [round(SAMPLE_RATE * event.duration) for event in plan.events]
-    # The time axis, envelope and voice hold one block; the output one batch.
-    block, batch_size = min(BLOCK, max(counts)), min(BLOCK, sum(counts))
-    ramp = np.arange(block, dtype=np.float64)
-    free = SimpleQueue()
-    for _ in range(threads):
-        free.put((ramp, *np.empty((3, block)), np.empty(batch_size)))
-
-    def made(batch: list[tuple]) -> np.ndarray:
-        # The pool runs at most one batch a thread, so a set is always free.
-        work = free.get()
-        try:
-            return finish(
-                _make_blocks(batch, work, plan.envelope, plan.modulation_depth)
-            )
-        finally:
-            free.put(work)
-
-    with ThreadPoolExecutor(threads) as pool:
-        pending = deque()
-        for batch in _batches(plan):
-            if len(pending) == IN_FLIGHT * threads:
-                yield pending.popleft().result()
-            pending.append(pool.submit(made, batch))
-        while pending:
-            yield pending.popleft().result()
-
-
-def _make_blocks(
-    batch: list[tuple],
-    work: tuple[np.ndarray, ...],
-    envelope: Optional[Envelope],
-    modulation_depth: float,
-) -> np.ndarray:
-    """The samples of a batch: each block made in turn in the work arrays
-    (ramp, t, g, voice, output) and laid end to end at the start of output."""
-    *scratch, output = work
-    offset = 0
-    for duration, frequencies, start, stop in batch:
-        _event_samples(
-            duration,
-            frequencies,
-            envelope,
-            modulation_depth,
-            start,
-            stop,
-            (*scratch, output[offset : offset + stop - start]),
-        )
-        offset += stop - start
-    return output[:offset]
-
-
 def _event_samples(
     duration: float,
     frequencies: Sequence[float],
     envelope: Optional[Envelope],
     modulation_depth: float,
-    start: int = 0,
-    stop: Optional[int] = None,
-    work: Optional[tuple[np.ndarray, ...]] = None,
 ) -> np.ndarray:
-    """Samples start to stop (by default all) of one event: the equal mix
-    of its voices, or silence.
-
-    The block is made in work, float64 arrays (ramp, t, g, voice, mixed) of
-    at least stop - start samples with ramp[k] = k, or in new ones. The
-    time axis and the envelope are made once for all voices, which share
-    the event's duration, and each voice is added to the mix as soon as it
-    is made. The result is the start of mixed.
-    """
+    """All samples of one event, made on their own: the equal mix of its
+    voices, or silence. The slow oracle that _synthesise is checked
+    against, and pure_tone's path."""
     import numpy as np
 
-    if stop is None:
-        stop = round(SAMPLE_RATE * duration)
-    count = stop - start
-    if work is None:
-        ramp = np.arange(count, dtype=np.float64)
-        work = (ramp, *np.empty((3, count)), np.empty(count))
-    ramp, t, g, voice, mixed = (array[:count] for array in work)
-    mixed.fill(0.0)
-    if not frequencies:
-        return mixed
-    # (k + start) / rate is exact in k + start, so this is arange / rate.
-    np.add(ramp, start, out=t)
-    np.divide(t, SAMPLE_RATE, out=t)
-    g = None if envelope is None else envelope.amplitudes(t, duration, out=g)
-    weight = 1.0 / len(frequencies)
+    count = round(SAMPLE_RATE * duration)
+    mixed = np.zeros(count)
+    t = np.arange(count, dtype=np.float64) / SAMPLE_RATE
+    g = None
+    if envelope is not None and frequencies:
+        g = envelope.amplitudes(t, duration)
+    voice = np.empty((1, count))
     for frequency in frequencies:
-        _voice(voice, t, g, frequency, modulation_depth)
-        np.multiply(voice, weight, out=voice)
-        mixed += voice
+        _voices(voice, t, (frequency,), modulation_depth)
+        if g is not None:
+            np.multiply(voice, g, out=voice)
+        np.multiply(voice, 1.0 / len(frequencies), out=voice)
+        mixed += voice[0]
     return mixed
 
 
+def _groups(events: list[tuple]) -> Iterator[tuple[list[tuple], dict]]:
+    """The events cut into groups, each a new list with its frequencies'
+    table rows ({frequency: row}), of at most ROWS frequencies unless one
+    event alone sounds more. Events are taken in order of their frequencies,
+    so that those that share one mostly share a group."""
+    rows = dict.fromkeys(f for event in events for f in event[3])
+    if len(rows) <= ROWS:
+        yield list(events), {f: row for row, f in enumerate(rows)}
+        return
+    group, rows = [], {}
+    for event in sorted(events, key=lambda event: event[3]):
+        if group and len(rows.keys() | set(event[3])) > ROWS:
+            yield group, rows
+            group, rows = [], {}
+        group.append(event)
+        for f in event[3]:
+            rows.setdefault(f, len(rows))
+    yield group, rows
+
+
+def _voice_batches(events: list[tuple], size: int) -> Iterator[list[tuple]]:
+    """The events, most voices first, in batches of at most size: the
+    events that sound a k-th voice are a prefix of each batch."""
+    events = sorted(events, key=lambda event: -len(event[3]))
+    for first in range(0, len(events), size):
+        yield events[first : first + size]
+
+
+class _Mixer:
+    """One render thread: its voice table, and the pieces it has mixed into
+    its chunk and not yet passed to finish, as (frame, first, stop) for
+    chunk[first:stop] at that frame of the plan."""
+
+    def __init__(self, finish: Callable, plan: RenderPlan):
+        import numpy as np
+
+        self.finish, self.envelope = finish, plan.envelope
+        self.modulation_depth = plan.modulation_depth
+        self.table, self.work = np.empty(ROWS * BLOCK), np.empty(CHUNK)
+        self.chunk, self.used, self.pieces = np.zeros(CHUNK), 0, []
+
+    def step(self, start: int, group: list[tuple], index: dict) -> None:
+        """Mix samples start to start + BLOCK of each event of group, whose
+        frequencies have the rows index of the table; with more than ROWS of
+        them, each voice is made as it is mixed."""
+        import numpy as np
+
+        width = min(BLOCK, max(event[0] for event in group) - start)
+        # start + k is exact, so this is the event's arange / rate.
+        t = np.arange(start, start + width, dtype=np.float64) / SAMPLE_RATE
+        gain = None if self.envelope is None else self.envelope.amplitudes(t)
+        rows = None
+        if len(index) <= ROWS:
+            rows = self.table[: len(index) * width].reshape(-1, width)
+            _voices(rows, t, tuple(index), self.modulation_depth)
+        # Events whose release has begun, or whose voices are made here, are
+        # mixed first, each with its own gain; then the table is multiplied
+        # by the gain once for all the others.
+        release = 0.0 if gain is None else self.envelope.release
+        own, shared = [], []
+        for event in group:
+            late = rows is None or release and t[-1] >= event[2] - release
+            (own if late else shared).append(event)
+        for batch in _voice_batches(own, max(CHUNK // width // 2, 1)):
+            self.mix(batch, start, t, rows, index, gain)
+        if gain is not None and shared:
+            np.multiply(rows, gain, out=rows)
+        for batch in _voice_batches(shared, CHUNK // width):
+            self.mix(batch, start, t, rows, index)
+
+    def mix(self, batch: list[tuple], start: int, t, rows, index, gain=None) -> None:
+        """Mix the batch's events into the chunk, each as one row len(t) wide
+        whatever its length: their k-th voices together, by the steps of
+        _event_samples. Each voice is multiplied by gain, with its event's
+        release written over it, or by nothing where the table holds it."""
+        import numpy as np
+
+        width = len(t)
+        if self.used + len(batch) * width > CHUNK:
+            self.flush()
+        mixed = self.chunk[self.used : self.used + len(batch) * width]
+        for length, frame, _, _ in batch:
+            stop = self.used + min(width, length - start)
+            self.pieces.append((frame + start, self.used, stop))
+            self.used += width
+        sounding = [event for event in batch if event[3]]
+        if not sounding:
+            return
+        cells = len(sounding) * width
+        mixed = mixed[:cells].reshape(-1, width)
+        voices = self.work[:cells].reshape(-1, width)
+        g = gain
+        if gain is not None and self.envelope.release:
+            # Envelope.amplitudes' release, written over each event's row.
+            release, sustain = self.envelope.release, self.envelope.sustain_level
+            durations = np.array([event[2] for event in sounding])[:, None]
+            # An own batch holds at most half a chunk, so this fits.
+            g = self.work[cells : 2 * cells].reshape(-1, width)
+            np.subtract(durations, t, out=g)
+            np.multiply(sustain, g, out=g)
+            np.divide(g, release, out=g)
+            np.copyto(g, gain, where=t < durations - release)
+        weights = np.array([1.0 / len(event[3]) for event in sounding])[:, None]
+        count = len(sounding)
+        for k in range(len(sounding[0][3])):
+            while len(sounding[count - 1][3]) <= k:
+                count -= 1
+            voice = voices[:count]
+            if rows is None:
+                _voices(voice, t, (sounding[0][3][k],), self.modulation_depth)
+            else:
+                rows.take([index[event[3][k]] for event in sounding[:count]], 0, voice)
+            if g is not None:
+                np.multiply(voice, g if g.ndim == 1 else g[:count], out=voice)
+            # Times 1.0 is exact, so a batch of one-voice events skips it.
+            if len(sounding[0][3]) > 1:
+                np.multiply(voice, weights[:count], out=voice)
+            np.add(mixed[:count], voice, out=mixed[:count])
+
+    def flush(self) -> None:
+        """Pass the mixed pieces to finish and clear the chunk."""
+        if self.pieces:
+            self.finish(self.chunk[: self.used], self.pieces)
+            self.chunk[: self.used].fill(0.0)
+        self.used, self.pieces = 0, []
+
+
+def _synthesise(plan: RenderPlan, finish: Callable) -> None:
+    """Make the plan's samples and pass each chunk of them to finish(samples,
+    pieces) on the render thread that mixed it, in no fixed order: for each
+    (frame, first, stop) in pieces, samples[first:stop] start at that frame.
+
+    Step k makes samples k * BLOCK to (k + 1) * BLOCK of every event that
+    lasts past k * BLOCK. A voice before its envelope depends only on its
+    frequency and the sample's index in the event, so each frequency is
+    made once a step into one row of a table of ROWS x BLOCK samples, from
+    which each event mixes its voices in its own order; the attack, decay
+    and sustain gain too is made once a step, and only release tails per
+    event. A step whose events sound more than ROWS frequencies is cut into
+    groups (see _groups). Each thread takes the next step as it finishes
+    one, and passes its chunk of CHUNK samples to finish when full. So
+    memory is set by BLOCK, ROWS, CHUNK and the thread count, not by the
+    plan, and as every sample is made by the elementwise steps of
+    _event_samples in their order, it does not depend on the step or thread.
+    """
+    # Imported here, as only rendering needs them and they slow every start-up.
+    from concurrent.futures import ThreadPoolExecutor
+    from threading import Lock
+
+    events, frame = [], 0
+    for event in plan.events:
+        count = round(SAMPLE_RATE * event.duration)
+        notes = tuple(note_frequency(plan.system, *note) for note in event.notes)
+        events.append((count, frame, event.duration, notes))
+        frame += count
+    # Longest first, so the events still sounding at a step are a prefix.
+    events.sort(key=lambda event: -event[0])
+
+    def make_steps() -> Iterator[tuple]:
+        for start in range(0, events[0][0], BLOCK):
+            while events[-1][0] <= start:
+                events.pop()
+            for group, index in _groups(events):
+                yield start, group, index
+
+    steps, lock = make_steps(), Lock()
+
+    def next_step() -> Optional[tuple]:
+        with lock:
+            return next(steps, None)
+
+    def work(mixer: _Mixer) -> None:
+        try:
+            for step in iter(next_step, None):
+                mixer.step(*step)
+            mixer.flush()
+        except BaseException:
+            with lock:
+                steps.close()  # the other threads stop at their next step
+            raise
+
+    threads = _thread_count()
+    with ThreadPoolExecutor(threads) as pool:
+        list(pool.map(work, [_Mixer(finish, plan) for _ in range(threads)]))
+
+
 def render(plan: RenderPlan) -> SampleBuffer:
-    """The plan's batches (see _render_events) concatenated into one buffer;
-    rests render as silence."""
+    """The plan's samples (see _synthesise) in one buffer; rests render as
+    silence."""
     import numpy as np
 
-    return SampleBuffer(np.concatenate(list(_render_events(plan))))
+    samples = np.empty(plan.frames())
+
+    def finish(chunk: np.ndarray, pieces: list[tuple]) -> None:
+        for frame, first, stop in pieces:
+            samples[frame : frame + stop - first] = chunk[first:stop]
+
+    _synthesise(plan, finish)
+    return SampleBuffer(samples)
 
 
-def _quantize(samples: np.ndarray) -> np.ndarray:
+def _quantize(samples: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Round half away from zero to int16, clamping to the valid range.
 
-    Works in place on one scaled copy: floor(|x| * 32767 + 0.5), then the
-    sign of x put back (so -0.0 stays -0.0 and quantizes to 0). x is finite:
-    _pcm checks that first. Each step is a plain ufunc, which releases the
-    GIL to the other render threads.
+    Works in place on one scaled copy, or on out (which may be samples
+    itself): floor(|x| * 32767 + 0.5), then negated where x has its sign
+    bit set (so -0.0 stays -0.0 and quantizes to 0). x is finite: _pcm
+    checks that first. Each step is a plain ufunc, which releases the GIL
+    to the other render threads.
     """
     import numpy as np
 
-    scaled = np.abs(samples)
+    negative = np.signbit(samples)
+    scaled = np.abs(samples, out=out)
     scaled *= 32767.0
     scaled += 0.5
     np.floor(scaled, out=scaled)
-    np.copysign(scaled, samples, out=scaled)
+    np.negative(scaled, out=scaled, where=negative)
     np.clip(scaled, -32768, 32767, out=scaled)
     return scaled.astype("<i2")
 
 
-def _pcm(samples: np.ndarray) -> np.ndarray:
-    """The int16 samples of a WAV file (see _quantize), or ValueError if a
-    sample is not finite."""
+def _pcm(samples: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The int16 samples of a WAV file (see _quantize, which is given out),
+    or ValueError if a sample is not finite."""
     import numpy as np
 
     if not np.isfinite(samples).all():
         raise ValueError("cannot write non-finite samples (NaN or inf) to a WAV file")
-    return _quantize(samples)
+    return _quantize(samples, out)
 
 
-def _write_pieces(pieces: Iterable[np.ndarray], sample_rate: int, path) -> int:
-    """Write the int16 pieces (see _pcm) in order as one WAV file; return
-    its frame count.
+@contextmanager
+def _wav_file(path, frames: int, sample_rate: int) -> Iterator[Callable]:
+    """Open path for a mono 16-bit PCM WAV file of frames samples, write its
+    RIFF header, and give put(frame, pcm), which writes the int16 samples
+    pcm from that frame on, in any order and from any thread.
 
-    Each piece is written as it arrives. If anything fails once the file is
-    open, including making a piece, the partial file is removed and the
-    error re-raised.
+    Positioned writes need a seekable file, which a pipe is not; that is
+    checked as soon as it is open. If anything fails once it is open, the
+    partial file is removed and the error re-raised.
     """
-    import wave
+    import struct
 
-    frames = 0
-    # Opening the file first keeps a bad path to the one OSError: given a
-    # path it cannot open, wave.open also prints a traceback on cleanup.
+    # Opening the file first keeps a bad path to the one OSError.
     with open(path, "wb") as raw:
         try:
-            with wave.open(raw, "wb") as handle:
-                handle.setnchannels(1)
-                handle.setsampwidth(2)
-                handle.setframerate(sample_rate)
-                for piece in pieces:
-                    handle.writeframesraw(piece)
-                    frames += len(piece)
+            if not raw.seekable():
+                raise ValueError(
+                    f"cannot write a WAV file to {path}: it is not seekable"
+                )
+
+            def put(frame: int, data) -> None:
+                # A short write is a full disk, not part of a file to keep.
+                written = os.pwrite(raw.fileno(), data, 44 + 2 * frame)
+                if written < memoryview(data).nbytes:
+                    raise OSError(f"short write to {path}")
+
+            size = 2 * frames
+            # The header is the 44 bytes, 22 frames' worth, before frame 0.
+            put(-22, struct.pack(
+                "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + size, b"WAVE", b"fmt ", 16, 1, 1,
+                sample_rate, 2 * sample_rate, 2, 16, b"data", size,
+            ))
+            yield put
         except BaseException:
             raw.close()
             # A device such as /dev/null is not a partial file to remove.
             if os.path.isfile(path):
                 os.remove(path)
             raise
-    return frames
+
+
+def _render_wav(plan: RenderPlan, path) -> int:
+    """Render the plan into a WAV file at path; return its frame count.
+    Each chunk is checked and quantized (see _pcm) on the render thread
+    that mixed it, and its pieces written there."""
+
+    def finish(chunk: np.ndarray, pieces: list[tuple]) -> None:
+        # The chunk is cleared once finished, so it is quantized in place.
+        pcm = _pcm(chunk, chunk)
+        for frame, first, stop in pieces:
+            put(frame, pcm[first:stop])
+
+    with _wav_file(path, plan.frames(), SAMPLE_RATE) as put:
+        _synthesise(plan, finish)
+    return plan.frames()
 
 
 def write_wav(buffer: SampleBuffer, path) -> None:
     """16-bit signed little-endian PCM, mono, standard RIFF header.
 
-    The samples are checked and quantized one BLOCK at a time, so the
-    copies that takes never hold more than one block."""
+    The samples are checked and quantized one CHUNK at a time, so the
+    copies that takes never hold more than one chunk."""
     samples = buffer.samples
-    _write_pieces(
-        (_pcm(samples[i : i + BLOCK]) for i in range(0, len(samples), BLOCK)),
-        buffer.sample_rate,
-        path,
-    )
+    with _wav_file(path, len(samples), buffer.sample_rate) as put:
+        for i in range(0, len(samples), CHUNK):
+            put(i, _pcm(samples[i : i + CHUNK]))
 
 
 def read_wav(path) -> SampleBuffer:

@@ -9,7 +9,7 @@ import shutil
 import sys
 from typing import Optional
 
-from .audio import SAMPLE_RATE, RenderPlan, _pcm, _render_events, _write_pieces
+from .audio import SAMPLE_RATE, RenderPlan, _render_wav
 from .cayley import CayleyGraph, export_dot
 from .counterpoint import (
     ConsonantSeed,
@@ -217,9 +217,8 @@ def _cmd_render(args: argparse.Namespace) -> _Output:
     with open(args.plan, encoding="utf-8") as handle:
         plan = RenderPlan.from_dict(json.load(handle))
     # The plan is fully checked, so the output file is opened only for a
-    # plan that renders. Each batch is checked and quantized on the render
-    # thread that made it, and written here in plan order.
-    samples = _write_pieces(_render_events(plan, _pcm), SAMPLE_RATE, args.out)
+    # plan that renders.
+    samples = _render_wav(plan, args.out)
     payload = {"out": args.out, "samples": samples, "sample_rate": SAMPLE_RATE}
     return payload, f"wrote {args.out}: {samples} samples at {SAMPLE_RATE} Hz"
 

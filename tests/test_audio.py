@@ -22,7 +22,6 @@ from cayleytones.audio import (
     write_wav,
     _event_samples,
     _quantize,
-    _render_events,
     _thread_count,
 )
 from cayleytones.music import system_from_factors
@@ -198,6 +197,30 @@ def test_envelope_validation():
     for field in ("attack", "decay", "sustain_level", "release"):
         with pytest.raises(ValueError):
             Envelope(**{field: NAN})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: pure_tone(ToneSpec(440.0, 1e305)),
+        lambda: RenderPlan(Z12, (RenderEvent("note", 1e305, ((0, 0),)),)),
+        lambda: RenderPlan(Z12, (RenderEvent("rest", 2**31 / SAMPLE_RATE),)),
+    ],
+    ids=["tone", "note", "rest"],
+)
+def test_events_longer_than_a_wav_file_are_refused_before_rounding(make):
+    # 44100 * 1e305 overflows to inf, which round() cannot convert.
+    with pytest.raises(ValueError, match="samples a WAV file holds"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "segments",
+    [{"attack": 1e308, "decay": 1e308}, {"release": INF}, {"attack": INF, "decay": 0.0}],
+)
+def test_envelope_segments_must_sum_to_a_finite_time(segments):
+    with pytest.raises(ValueError, match="envelope segments must sum to a finite time"):
+        Envelope(**segments)
 
 
 def test_envelope_from_dict():
@@ -407,7 +430,7 @@ def _one_event_plans(draw):
 def test_event_samples_equal_the_formula_bit_for_bit(plan):
     [event] = plan.events
     envelope, depth = plan.envelope, plan.modulation_depth
-    samples = np.concatenate(list(_render_events(plan)))
+    samples = render(plan).samples
     specs = [
         ToneSpec(note_frequency(plan.system, note, octave), event.duration)
         for note, octave in event.notes

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -1149,6 +1150,168 @@ def test_render_bytes_do_not_depend_on_the_thread_count(
         )
 
 
+# Envelopes a seeded plan cycles through: none, a constant gain, no
+# release, and all four segments; with the shortest sounding event each
+# allows, in samples.
+RANDOM_PLAN_ENVELOPES = [
+    (None, 1),
+    ({"attack": 0.0, "decay": 0.0, "sustain_level": 0.6, "release": 0.0}, 1),
+    ({"attack": 0.002, "decay": 0.003, "sustain_level": 0.5, "release": 0.0}, 222),
+    ({"attack": 0.01, "decay": 0.02, "sustain_level": 0.7, "release": 0.03}, 2647),
+]
+
+
+def _random_plan(seed):
+    """A seeded plan whose notes and chords share five pitches, between
+    rests; chords of two to eight voices, with a pitch twice, an octave pair
+    or both; events last one or two samples, under two blocks or four to ten
+    blocks."""
+    rng = random.Random(seed)
+    p, q = rng.choice([(4, 3), (5, 2), (7, 4)])
+    pitches = [(rng.randrange(p * q), rng.choice((-1, 0, 1))) for _ in range(5)]
+    envelope, shortest = RANDOM_PLAN_ENVELOPES[seed % len(RANDOM_PLAN_ENVELOPES)]
+    events = []
+    for _ in range(rng.randrange(10, 16)):
+        kind = rng.choice(["note", "chord", "chord", "rest"])
+        count = rng.choice([
+            1, 2, rng.randrange(3, 2 * audio.BLOCK), rng.randrange(4, 10) * audio.BLOCK + 7
+        ])
+        if kind != "rest":
+            count = max(count, shortest)
+        pitch, *others = rng.sample(pitches, 3)
+        octave = (pitch[0], pitch[1] + 1)
+        chords = [
+            [pitch, pitch],
+            [pitch, octave],
+            [pitch, *others, pitch, octave],
+            rng.choices(pitches, k=rng.randrange(2, 9)),
+        ]
+        notes = {"note": [pitch], "chord": rng.choice(chords), "rest": []}[kind]
+        events.append({
+            "kind": kind,
+            "duration": count / audio.SAMPLE_RATE,
+            "notes": [{"note": k, "octave": o} for k, o in notes],
+        })
+    return {
+        "system": {"p": p, "q": q},
+        "events": events,
+        "envelope": envelope,
+        "modulation_depth": 0.0 if seed % 3 == 0 else 0.002,
+    }
+
+
+def _spread_plan(pitches):
+    """Two hundred 0.05 s notes, then a 0.1 s chord, over the pitches of
+    Z_40 given as (note, octave): with all 40 residues at octaves -3..3, a
+    step sounds more frequencies than a table holds, and so does the chord."""
+    notes = [{"note": k, "octave": o} for k, o in pitches]
+    events = [{"kind": "note", "duration": 0.05, "notes": [notes[i % len(notes)]]} for i in range(200)]
+    events.append({"kind": "chord", "duration": 0.1, "notes": notes})
+    envelope = {"attack": 0.005, "decay": 0.01, "sustain_level": 0.7, "release": 0.02}
+    return dict(STREAM_PLAN, system={"p": 8, "q": 5}, events=events, envelope=envelope)
+
+
+SPREAD_PITCHES = [(k, o) for o in range(-3, 4) for k in range(40)]
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize(
+    "plan",
+    [_random_plan(seed) for seed in range(8)] + [_spread_plan(SPREAD_PITCHES)],
+    ids=[f"seed-{seed}" for seed in range(8)] + ["spread"],
+)
+def test_render_bytes_equal_those_of_each_event_made_alone(
+    capsys, tmp_path, monkeypatch, plan, threads
+):
+    assert len(SPREAD_PITCHES) > audio.ROWS
+    monkeypatch.setattr(audio, "_thread_count", lambda: threads)
+    code, out, err, out_path = _render_cli(capsys, tmp_path, plan)
+    assert (code, err) == (0, "")
+    assert out_path.read_bytes() == _whole_event_wav(plan, tmp_path / "serial.wav")
+
+
+def test_render_peak_memory_does_not_grow_with_distinct_frequencies(capsys, tmp_path):
+    few, many = _peaks(
+        capsys, tmp_path, [_spread_plan([(0, 0), (7, 0)]), _spread_plan(SPREAD_PITCHES)]
+    )
+    assert many <= 1.25 * few
+
+
+def _repeated_pitch_plan():
+    """60 s of notes and four-voice chords over the twelve pitches of Z_12
+    and their octaves, a pitch twice in each chord, with rests; envelope
+    and FM on."""
+    events = []
+    for i in range(226):
+        if i % 12 == 11:
+            root = (5 * i) % 12
+            notes = [root, (root + 4) % 12, (root + 4) % 12, {"note": root, "octave": 1}]
+            events.append({"kind": "chord", "duration": 1.0 + 0.25 * (i % 3), "notes": notes})
+        elif i % 17 == 16:
+            events.append({"kind": "rest", "duration": 0.3})
+        else:
+            notes = [{"note": (7 * i) % 12, "octave": i % 2}]
+            events.append({"kind": "note", "duration": 0.1 + 0.025 * (i % 5), "notes": notes})
+    envelope = {"attack": 0.01, "decay": 0.03, "sustain_level": 0.7, "release": 0.04}
+    return dict(STREAM_PLAN, events=events, envelope=envelope)
+
+
+def test_render_bytes_of_a_minute_of_repeated_pitches_are_pinned(capsys, tmp_path):
+    code, out, err, out_path = _render_cli(capsys, tmp_path, _repeated_pitch_plan())
+    assert (code, err) == (0, "")
+    assert json.loads(out)["samples"] == 2_649_308
+    # Recorded when each event was still rendered on its own.
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "e7d2276f20de0e437d1226b3aeaf1952a0547da41f591251bffc0db97730cb8e"
+    )
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (
+            {"events": [{"kind": "note", "duration": 1e305, "notes": [0]}]},
+            "error: a 1e+305 s event lasts more than the 2147483629 samples "
+            "a WAV file holds\n",
+        ),
+        (
+            {"envelope": {"attack": 1e308, "decay": 1e308}},
+            "error: envelope segments must sum to a finite time, got attack "
+            "1e+308, decay 1e+308 and release 0.05\n",
+        ),
+    ],
+    ids=["huge-duration", "envelope-overflow"],
+)
+def test_render_refuses_sizes_past_the_float_range(capsys, tmp_path, overrides, message):
+    code, out, err, out_path = _render_cli(capsys, tmp_path, _note_plan(**overrides))
+    assert (code, out, err) == (2, "", message)
+    assert not out_path.exists()
+
+
+def test_render_refuses_an_out_path_it_cannot_seek(capsys, tmp_path):
+    fifo = tmp_path / "out.wav"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(STREAM_PLAN))
+    try:
+        code, out, err = run(capsys, "render", "--plan", str(plan_path), "--out", str(fifo))
+    finally:
+        reader.join(timeout=10)
+        if reader.is_alive():
+            # The FIFO was never opened: open it once so that the reader ends.
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write a WAV file to {fifo}: it is not seekable\n"
+    # Refused before any synthesis, so nothing reached the reader.
+    assert received == [b""]
+    # /dev/null can seek, and takes the WAV file as before.
+    code, out, err = run(capsys, "render", "--plan", str(plan_path), "--out", os.devnull)
+    assert (code, out, err) == (0, f"wrote {os.devnull}: 63945 samples at 44100 Hz\n", "")
+
+
 @pytest.mark.parametrize(
     "bad_event",
     [
@@ -1162,13 +1325,13 @@ def test_render_checks_the_whole_plan_before_any_synthesis(
     capsys, tmp_path, monkeypatch, bad_event
 ):
     calls = []
-    real = audio._voice
+    real = audio._voices
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(audio, "_voice", counted)
+    monkeypatch.setattr(audio, "_voices", counted)
     plan = dict(STREAM_PLAN, events=[*STREAM_PLAN["events"], bad_event])
     code, out, err, out_path = _render_cli(capsys, tmp_path, plan)
     assert code == 2
@@ -1176,26 +1339,30 @@ def test_render_checks_the_whole_plan_before_any_synthesis(
     assert err.count("\n") == 1
     assert not out_path.exists()
     assert calls == []
-    # The counted function is the one the CLI synthesises with: once per voice.
+    # The counted function is the one the CLI synthesises with: once per
+    # step, for the table of every frequency sounding there. The longest
+    # event, the 0.5 s chord, lasts 11 steps.
     code, *_ = _render_cli(capsys, tmp_path, STREAM_PLAN)
-    assert (code, len(calls)) == (0, 9)
+    steps = -(-round(0.5 * audio.SAMPLE_RATE) // audio.BLOCK)
+    assert (code, len(calls)) == (0, steps)
 
 
 def test_render_removes_the_file_when_a_later_event_is_not_finite(
     capsys, tmp_path, monkeypatch
 ):
-    real = audio._event_samples
-    second = STREAM_PLAN["events"][1]["duration"]
+    real = audio._Mixer.flush
+    # The last sample of the second event, by its frame: steps are mixed on
+    # several threads, so the order of the chunks is not fixed.
+    counts = [round(event["duration"] * audio.SAMPLE_RATE) for event in STREAM_PLAN["events"]]
+    last = counts[0] + counts[1] - 1
 
-    def poisoned(*args):
-        samples = real(*args)
-        # The second event's block, by its arguments: blocks are made on
-        # several threads, so the order of the calls is not fixed.
-        if args[0] == second:
-            samples[-1] = np.nan
-        return samples
+    def poisoned(self):
+        for frame, first, stop in self.pieces:
+            if frame <= last < frame + stop - first:
+                self.chunk[first + last - frame] = np.nan
+        real(self)
 
-    monkeypatch.setattr(audio, "_event_samples", poisoned)
+    monkeypatch.setattr(audio._Mixer, "flush", poisoned)
     code, out, err, out_path = _render_cli(capsys, tmp_path, STREAM_PLAN)
     assert code == 2
     assert err.startswith("error: cannot write non-finite samples")
@@ -1203,8 +1370,8 @@ def test_render_removes_the_file_when_a_later_event_is_not_finite(
     assert not out_path.exists()
 
 
-# A note of 20 batches, then a rest of 10: more batches than 2 x 4 threads.
-MANY_BATCHES_PLAN = _note_plan(
+# A note of 20 blocks, then a rest of 10: far more steps than 4 threads.
+MANY_BLOCKS_PLAN = _note_plan(
     events=[
         {"kind": "note", "duration": 20 * audio.BLOCK / audio.SAMPLE_RATE, "notes": [0]},
         {"kind": "rest", "duration": 10 * audio.BLOCK / audio.SAMPLE_RATE},
@@ -1217,17 +1384,17 @@ def test_a_non_finite_sample_made_on_a_render_thread_exits_2(
     capsys, tmp_path, monkeypatch, threads
 ):
     monkeypatch.setattr(audio, "_thread_count", lambda: threads)
-    real = audio._voice
+    real = audio._voices
     late = 17 * audio.BLOCK / audio.SAMPLE_RATE
 
     def poisoned(out, t, *args):
         real(out, t, *args)
-        # One block of the 18th batch, found by its times whatever the thread.
+        # The table of the 18th step, found by its times whatever the thread.
         if t[0] == late:
-            out[5] = np.nan
+            out[:, 5] = np.nan
 
-    monkeypatch.setattr(audio, "_voice", poisoned)
-    code, out, err, out_path = _render_cli(capsys, tmp_path, MANY_BATCHES_PLAN)
+    monkeypatch.setattr(audio, "_voices", poisoned)
+    code, out, err, out_path = _render_cli(capsys, tmp_path, MANY_BLOCKS_PLAN)
     assert (code, out, err) == (
         2, "", "error: cannot write non-finite samples (NaN or inf) to a WAV file\n"
     )
@@ -1235,37 +1402,40 @@ def test_a_non_finite_sample_made_on_a_render_thread_exits_2(
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
-def test_render_makes_at_most_two_batches_a_thread_ahead_of_the_writer(
+def test_render_threads_write_each_chunk_before_mixing_more(
     capsys, tmp_path, monkeypatch, threads
 ):
     monkeypatch.setattr(audio, "_thread_count", lambda: threads)
     lock = threading.Lock()
-    started, written, ahead = [0], [0], []
-    make_blocks, write_pieces = audio._make_blocks, cli._write_pieces
+    # Samples each thread has mixed and not begun to write, and pieces written.
+    unwritten, ahead, written = {}, [], [0]
+    mix, pwrite = audio._Mixer.mix, os.pwrite
 
-    def counted_make_blocks(*args):
+    def counted_mix(self, batch, start, t, *args):
+        # Counted once mixed, after any chunk that mixing it wrote first.
+        mix(self, batch, start, t, *args)
         with lock:
-            started[0] += 1
-            ahead.append(started[0] - written[0])
-        return make_blocks(*args)
+            me = threading.get_ident()
+            unwritten[me] = unwritten.get(me, 0) + len(batch) * len(t)
+            ahead.append(unwritten[me])
 
-    def counted(pieces):
-        for piece in pieces:
-            yield piece
-            # A slow writer, so the render threads run as far ahead as they may.
-            time.sleep(0.005)
-            # Asked for the next piece, so this one is written.
-            with lock:
-                written[0] += 1
+    def counted_pwrite(fd, data, offset):
+        # A slow writer, so the render threads run as far ahead as they may.
+        time.sleep(0.005)
+        with lock:
+            unwritten[threading.get_ident()] = 0
+            # The header is written at offset 0, each piece after it.
+            written[0] += offset > 0
+        return pwrite(fd, data, offset)
 
-    monkeypatch.setattr(audio, "_make_blocks", counted_make_blocks)
-    monkeypatch.setattr(
-        cli, "_write_pieces", lambda pieces, *args: write_pieces(counted(pieces), *args)
-    )
-    code, out, err, out_path = _render_cli(capsys, tmp_path, MANY_BATCHES_PLAN)
+    monkeypatch.setattr(audio._Mixer, "mix", counted_mix)
+    monkeypatch.setattr(os, "pwrite", counted_pwrite)
+    code, out, err, out_path = _render_cli(capsys, tmp_path, MANY_BLOCKS_PLAN)
     assert (code, err) == (0, "")
-    assert started == written == [30]
-    assert max(ahead) == 2 * threads
+    # One piece a block of each event, written by the thread that mixed it
+    # before it mixes more than a chunk, though it mixes several first.
+    assert written == [30]
+    assert audio.BLOCK < max(ahead) <= audio.CHUNK
 
 
 @pytest.mark.parametrize(
