@@ -597,19 +597,26 @@ def _synthesise(plan: RenderPlan, finish: Callable) -> None:
         with lock:
             return next(steps, None)
 
+    def stop() -> None:
+        # The threads stop at their next step.
+        with lock:
+            steps.close()
+
     def work(mixer: _Mixer) -> None:
         try:
             for step in iter(next_step, None):
                 mixer.step(*step)
             mixer.flush()
         except BaseException:
-            with lock:
-                steps.close()  # the other threads stop at their next step
+            stop()
             raise
 
     threads = _thread_count()
     with ThreadPoolExecutor(threads) as pool:
-        list(pool.map(work, [_Mixer(finish, plan) for _ in range(threads)]))
+        try:
+            list(pool.map(work, [_Mixer(finish, plan) for _ in range(threads)]))
+        finally:
+            stop()  # also on an interrupt while this thread waits
 
 
 def render(plan: RenderPlan) -> SampleBuffer:

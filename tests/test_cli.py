@@ -1401,6 +1401,26 @@ def test_a_non_finite_sample_made_on_a_render_thread_exits_2(
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("threads", [1, 4])
+def test_render_threads_stop_at_the_first_error(capsys, tmp_path, monkeypatch, threads):
+    monkeypatch.setattr(audio, "_thread_count", lambda: threads)
+    real, begun = audio._Mixer.step, []
+
+    def failing(self, start, *args):
+        begun.append(start)
+        if start == 5 * audio.BLOCK:
+            raise ValueError("step failed")
+        real(self, start, *args)
+
+    monkeypatch.setattr(audio._Mixer, "step", failing)
+    code, out, err, out_path = _render_cli(capsys, tmp_path, MANY_BLOCKS_PLAN)
+    assert (code, out, err) == (2, "", "error: step failed\n")
+    assert not out_path.exists()
+    # Steps are taken in order, and each other thread ends the one it has
+    # begun, of the 30 the plan has.
+    assert len(begun) <= 6 + threads - 1
+
+
 @pytest.mark.parametrize("threads", [1, 2, 4])
 def test_render_threads_write_each_chunk_before_mixing_more(
     capsys, tmp_path, monkeypatch, threads
