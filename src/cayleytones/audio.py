@@ -24,7 +24,7 @@ _WAV_MAX_FRAMES = (2**32 - 1 - 36) // 2
 BLOCK = 2048
 # Frequencies in a render thread's voice table of ROWS x BLOCK float64 samples.
 ROWS = 80
-# Samples a render thread mixes before it checks, quantizes and hands them on.
+# The most samples a render thread mixes, checks and hands on in one batch.
 CHUNK = 32_768
 
 
@@ -162,15 +162,9 @@ class Envelope:
                 f"but the note lasts {duration}s"
             )
 
-    def amplitudes(
-        self,
-        t: np.ndarray,
-        duration: Optional[float] = None,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """The gain at each time in t of a note of this duration, written
-        into out if given; with no duration, of a note that has not ended,
-        so without the release.
+    def amplitudes(self, t: np.ndarray, duration: Optional[float] = None) -> np.ndarray:
+        """The gain at each time in t of a note of this duration; with no
+        duration, of a note that has not ended, so without the release.
 
         t must be non-decreasing, as every time axis here is, so that each
         segment is one slice of it; a t that is not is refused with
@@ -185,8 +179,7 @@ class Envelope:
         if not (t[1:] >= t[:-1]).all():
             raise ValueError("envelope times must be non-decreasing")
         a, d = np.searchsorted(t, (self.attack, self.attack + self.decay))
-        g = np.empty(len(t), dtype=np.float64) if out is None else out
-        g.fill(self.sustain_level)
+        g = np.full(len(t), self.sustain_level, dtype=np.float64)
         if self.attack > 0:
             g[:a] = t[:a] / self.attack
         if self.decay > 0:
@@ -259,10 +252,10 @@ class RenderPlan:
     Everything rendering needs is checked here, event by event in plan
     order, so a bad plan is refused before any audio is made and the error
     names its first bad event: every event lasts at least one sample, every
-    note is a residue of Z_n at |octave| <= MAX_MODULUS and sounds below the
-    Nyquist frequency SAMPLE_RATE / 2, where it would alias, and the
-    envelope fits inside every sounding event. Last, the whole plan must
-    fit in one WAV file.
+    note is a residue of Z_n at |octave| <= MAX_MODULUS, sounds below the
+    Nyquist frequency SAMPLE_RATE / 2, where it would alias, and keeps its
+    phases finite at the modulation depth, and the envelope fits inside
+    every sounding event. Last, the whole plan must fit in one WAV file.
     """
 
     system: MusicalSystem
@@ -292,6 +285,13 @@ class RenderPlan:
                     )
                 spec = ToneSpec(note_frequency(self.system, note, octave), event.duration)
                 _check_frequency(spec.frequency, f"note {note} at octave {octave}")
+                # Bounds every phase _voices makes: |t + m*sin(...)| <= duration + |m|.
+                span = event.duration + abs(self.modulation_depth)
+                if not math.isfinite(2.0 * math.pi * spec.frequency * span):
+                    raise ValueError(
+                        f"note {note} at octave {octave} with modulation_depth "
+                        f"{self.modulation_depth} has a phase past the float range"
+                    )
             if event.notes and self.envelope is not None:
                 self.envelope.check_fits(event.duration)
         frames = self.frames()
@@ -455,9 +455,8 @@ def _voice_batches(events: list[tuple], size: int) -> Iterator[list[tuple]]:
 
 
 class _Mixer:
-    """One render thread: its voice table, and the pieces it has mixed into
-    its chunk and not yet passed to finish, as (frame, first, stop) for
-    chunk[first:stop] at that frame of the plan."""
+    """One render thread: its voice table, and the chunk it mixes each batch
+    into before it passes the batch to finish."""
 
     def __init__(self, finish: Callable, plan: RenderPlan):
         import numpy as np
@@ -465,7 +464,7 @@ class _Mixer:
         self.finish, self.envelope = finish, plan.envelope
         self.modulation_depth = plan.modulation_depth
         self.table, self.work = np.empty(ROWS * BLOCK), np.empty(CHUNK)
-        self.chunk, self.used, self.pieces = np.zeros(CHUNK), 0, []
+        self.chunk = np.zeros(CHUNK)
 
     def step(self, start: int, group: list[tuple], index: dict) -> None:
         """Mix samples start to start + BLOCK of each event of group, whose
@@ -500,63 +499,54 @@ class _Mixer:
         """Mix the batch's events into the chunk, each as one row len(t) wide
         whatever its length: their k-th voices together, by the steps of
         _event_samples. Each voice is multiplied by gain, with its event's
-        release written over it, or by nothing where the table holds it."""
+        release written over it, or by nothing where the table holds it.
+        Then pass the rows to finish, each cut to its event's length."""
         import numpy as np
 
         width = len(t)
-        if self.used + len(batch) * width > CHUNK:
-            self.flush()
-        mixed = self.chunk[self.used : self.used + len(batch) * width]
-        for length, frame, _, _ in batch:
-            stop = self.used + min(width, length - start)
-            self.pieces.append((frame + start, self.used, stop))
-            self.used += width
-        sounding = [event for event in batch if event[3]]
-        if not sounding:
-            return
-        cells = len(sounding) * width
-        mixed = mixed[:cells].reshape(-1, width)
+        cells = len(batch) * width
+        mixed = self.chunk[:cells].reshape(-1, width)
         voices = self.work[:cells].reshape(-1, width)
         g = gain
         if gain is not None and self.envelope.release:
             # Envelope.amplitudes' release, written over each event's row.
             release, sustain = self.envelope.release, self.envelope.sustain_level
-            durations = np.array([event[2] for event in sounding])[:, None]
+            durations = np.array([event[2] for event in batch])[:, None]
             # An own batch holds at most half a chunk, so this fits.
             g = self.work[cells : 2 * cells].reshape(-1, width)
             np.subtract(durations, t, out=g)
             np.multiply(sustain, g, out=g)
             np.divide(g, release, out=g)
             np.copyto(g, gain, where=t < durations - release)
-        weights = np.array([1.0 / len(event[3]) for event in sounding])[:, None]
-        count = len(sounding)
-        for k in range(len(sounding[0][3])):
-            while len(sounding[count - 1][3]) <= k:
+        weights = np.array([1.0 / len(event[3]) for event in batch])[:, None]
+        count = len(batch)
+        for k in range(len(batch[0][3])):
+            while len(batch[count - 1][3]) <= k:
                 count -= 1
             voice = voices[:count]
             if rows is None:
-                _voices(voice, t, (sounding[0][3][k],), self.modulation_depth)
+                _voices(voice, t, (batch[0][3][k],), self.modulation_depth)
             else:
-                rows.take([index[event[3][k]] for event in sounding[:count]], 0, voice)
+                rows.take([index[event[3][k]] for event in batch[:count]], 0, voice)
             if g is not None:
                 np.multiply(voice, g if g.ndim == 1 else g[:count], out=voice)
             # Times 1.0 is exact, so a batch of one-voice events skips it.
-            if len(sounding[0][3]) > 1:
+            if len(batch[0][3]) > 1:
                 np.multiply(voice, weights[:count], out=voice)
             np.add(mixed[:count], voice, out=mixed[:count])
-
-    def flush(self) -> None:
-        """Pass the mixed pieces to finish and clear the chunk."""
-        if self.pieces:
-            self.finish(self.chunk[: self.used], self.pieces)
-            self.chunk[: self.used].fill(0.0)
-        self.used, self.pieces = 0, []
+        pieces = [
+            (frame + start, row * width, row * width + min(width, length - start))
+            for row, (length, frame, _, _) in enumerate(batch)
+        ]
+        self.finish(self.chunk[:cells], pieces)
+        self.chunk[:cells].fill(0.0)
 
 
 def _synthesise(plan: RenderPlan, finish: Callable) -> None:
-    """Make the plan's samples and pass each chunk of them to finish(samples,
-    pieces) on the render thread that mixed it, in no fixed order: for each
-    (frame, first, stop) in pieces, samples[first:stop] start at that frame.
+    """Make the samples of the plan's notes and chords, not its rests, and
+    pass each batch of them to finish(samples, pieces) on the render thread
+    that mixed it, in no fixed order: for each (frame, first, stop) in
+    pieces, samples[first:stop] start at that frame.
 
     Step k makes samples k * BLOCK to (k + 1) * BLOCK of every event that
     lasts past k * BLOCK. A voice before its envelope depends only on its
@@ -566,10 +556,11 @@ def _synthesise(plan: RenderPlan, finish: Callable) -> None:
     and sustain gain too is made once a step, and only release tails per
     event. A step whose events sound more than ROWS frequencies is cut into
     groups (see _groups). Each thread takes the next step as it finishes
-    one, and passes its chunk of CHUNK samples to finish when full. So
-    memory is set by BLOCK, ROWS, CHUNK and the thread count, not by the
-    plan, and as every sample is made by the elementwise steps of
-    _event_samples in their order, it does not depend on the step or thread.
+    one, and mixes its events in batches of at most CHUNK samples, each
+    passed to finish as soon as it is mixed. So memory is set by BLOCK,
+    ROWS, CHUNK and the thread count, not by the plan, and as every sample
+    is made by the elementwise steps of _event_samples in their order, it
+    does not depend on the step or thread.
     """
     # Imported here, as only rendering needs them and they slow every start-up.
     from concurrent.futures import ThreadPoolExecutor
@@ -578,9 +569,12 @@ def _synthesise(plan: RenderPlan, finish: Callable) -> None:
     events, frame = [], 0
     for event in plan.events:
         count = round(SAMPLE_RATE * event.duration)
-        notes = tuple(note_frequency(plan.system, *note) for note in event.notes)
-        events.append((count, frame, event.duration, notes))
+        if event.notes:
+            notes = tuple(note_frequency(plan.system, *note) for note in event.notes)
+            events.append((count, frame, event.duration, notes))
         frame += count
+    if not events:
+        return
     # Longest first, so the events still sounding at a step are a prefix.
     events.sort(key=lambda event: -event[0])
 
@@ -606,7 +600,6 @@ def _synthesise(plan: RenderPlan, finish: Callable) -> None:
         try:
             for step in iter(next_step, None):
                 mixer.step(*step)
-            mixer.flush()
         except BaseException:
             stop()
             raise
@@ -620,11 +613,11 @@ def _synthesise(plan: RenderPlan, finish: Callable) -> None:
 
 
 def render(plan: RenderPlan) -> SampleBuffer:
-    """The plan's samples (see _synthesise) in one buffer; rests render as
-    silence."""
+    """The plan's samples (see _synthesise) in one buffer; rests are the
+    zeros it starts from."""
     import numpy as np
 
-    samples = np.empty(plan.frames())
+    samples = np.zeros(plan.frames())
 
     def finish(chunk: np.ndarray, pieces: list[tuple]) -> None:
         for frame, first, stop in pieces:
@@ -668,8 +661,9 @@ def _pcm(samples: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 @contextmanager
 def _wav_file(path, frames: int, sample_rate: int) -> Iterator[Callable]:
     """Open path for a mono 16-bit PCM WAV file of frames samples, write its
-    RIFF header, and give put(frame, pcm), which writes the int16 samples
-    pcm from that frame on, in any order and from any thread.
+    RIFF header and a 0 as its last frame, so that any frame not written
+    reads 0, and give put(frame, pcm), which writes the int16 samples pcm
+    from that frame on, in any order and from any thread.
 
     Positioned writes need a seekable file, which a pipe is not; that is
     checked as soon as it is open. If anything fails once it is open, the
@@ -697,6 +691,8 @@ def _wav_file(path, frames: int, sample_rate: int) -> Iterator[Callable]:
                 "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + size, b"WAVE", b"fmt ", 16, 1, 1,
                 sample_rate, 2 * sample_rate, 2, 16, b"data", size,
             ))
+            if frames:
+                put(frames - 1, b"\0\0")
             yield put
         except BaseException:
             raw.close()
@@ -708,7 +704,7 @@ def _wav_file(path, frames: int, sample_rate: int) -> Iterator[Callable]:
 
 def _render_wav(plan: RenderPlan, path) -> int:
     """Render the plan into a WAV file at path; return its frame count.
-    Each chunk is checked and quantized (see _pcm) on the render thread
+    Each batch is checked and quantized (see _pcm) on the render thread
     that mixed it, and its pieces written there."""
 
     def finish(chunk: np.ndarray, pieces: list[tuple]) -> None:

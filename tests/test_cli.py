@@ -1110,8 +1110,8 @@ MULTI_BLOCK_PLAN = dict(
 )
 
 
-def _whole_event_wav(plan, path):
-    """The plan's WAV made on this thread, each event in one piece."""
+def _whole_event_samples(plan):
+    """The plan's samples made on this thread, each event in one piece."""
     plan = RenderPlan.from_dict(plan)
     pieces = [
         audio._event_samples(
@@ -1122,7 +1122,12 @@ def _whole_event_wav(plan, path):
         )
         for event in plan.events
     ]
-    write_wav(audio.SampleBuffer(np.concatenate(pieces)), path)
+    return np.concatenate(pieces)
+
+
+def _whole_event_wav(plan, path):
+    """The plan's WAV made on this thread, each event in one piece."""
+    write_wav(audio.SampleBuffer(_whole_event_samples(plan)), path)
     return path.read_bytes()
 
 
@@ -1230,6 +1235,37 @@ def test_render_bytes_equal_those_of_each_event_made_alone(
     assert out_path.read_bytes() == _whole_event_wav(plan, tmp_path / "serial.wav")
 
 
+# Rests only, and notes that end in a rest: no render thread writes a rest,
+# so these frames hold the zeros the file was given its length with.
+RESTS_ONLY_PLAN = _rests_plan(3 * audio.BLOCK + 5, 7)
+ENDS_IN_REST_PLAN = dict(
+    STREAM_PLAN, events=[*STREAM_PLAN["events"], {"kind": "rest", "duration": 0.1}]
+)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize(
+    "plan", [RESTS_ONLY_PLAN, ENDS_IN_REST_PLAN], ids=["rests-only", "ends-in-rest"]
+)
+def test_render_leaves_each_rest_as_the_zeros_the_file_starts_with(
+    capsys, tmp_path, monkeypatch, plan, threads
+):
+    monkeypatch.setattr(audio, "_thread_count", lambda: threads)
+    code, out, err, out_path = _render_cli(capsys, tmp_path, plan)
+    assert (code, err) == (0, "")
+    frames = RenderPlan.from_dict(plan).frames()
+    rest = round(plan["events"][-1]["duration"] * audio.SAMPLE_RATE)
+    data = out_path.read_bytes()
+    assert json.loads(out)["samples"] == frames
+    assert len(data) == 44 + 2 * frames
+    assert data[-2 * rest :] == bytes(2 * rest)
+    if plan is RESTS_ONLY_PLAN:
+        assert data[44:] == bytes(2 * frames)
+    assert data == _whole_event_wav(plan, tmp_path / "serial.wav")
+    samples = render(RenderPlan.from_dict(plan)).samples
+    assert samples.tobytes() == _whole_event_samples(plan).tobytes()
+
+
 def test_render_peak_memory_does_not_grow_with_distinct_frequencies(capsys, tmp_path):
     few, many = _peaks(
         capsys, tmp_path, [_spread_plan([(0, 0), (7, 0)]), _spread_plan(SPREAD_PITCHES)]
@@ -1279,8 +1315,13 @@ def test_render_bytes_of_a_minute_of_repeated_pitches_are_pinned(capsys, tmp_pat
             "error: envelope segments must sum to a finite time, got attack "
             "1e+308, decay 1e+308 and release 0.05\n",
         ),
+        (
+            {"modulation_depth": 1e308},
+            "error: note 0 at octave 0 with modulation_depth 1e+308 has a phase "
+            "past the float range\n",
+        ),
     ],
-    ids=["huge-duration", "envelope-overflow"],
+    ids=["huge-duration", "envelope-overflow", "depth-overflow"],
 )
 def test_render_refuses_sizes_past_the_float_range(capsys, tmp_path, overrides, message):
     code, out, err, out_path = _render_cli(capsys, tmp_path, _note_plan(**overrides))
@@ -1350,19 +1391,22 @@ def test_render_checks_the_whole_plan_before_any_synthesis(
 def test_render_removes_the_file_when_a_later_event_is_not_finite(
     capsys, tmp_path, monkeypatch
 ):
-    real = audio._Mixer.flush
+    real = audio._Mixer.__init__
     # The last sample of the second event, by its frame: steps are mixed on
-    # several threads, so the order of the chunks is not fixed.
+    # several threads, so the order of the batches is not fixed.
     counts = [round(event["duration"] * audio.SAMPLE_RATE) for event in STREAM_PLAN["events"]]
     last = counts[0] + counts[1] - 1
 
-    def poisoned(self):
-        for frame, first, stop in self.pieces:
-            if frame <= last < frame + stop - first:
-                self.chunk[first + last - frame] = np.nan
-        real(self)
+    def poisoned(self, finish, plan):
+        def poisoned_finish(samples, pieces):
+            for frame, first, stop in pieces:
+                if frame <= last < frame + stop - first:
+                    samples[first + last - frame] = np.nan
+            finish(samples, pieces)
 
-    monkeypatch.setattr(audio._Mixer, "flush", poisoned)
+        real(self, poisoned_finish, plan)
+
+    monkeypatch.setattr(audio._Mixer, "__init__", poisoned)
     code, out, err, out_path = _render_cli(capsys, tmp_path, STREAM_PLAN)
     assert code == 2
     assert err.startswith("error: cannot write non-finite samples")
@@ -1417,45 +1461,48 @@ def test_render_threads_stop_at_the_first_error(capsys, tmp_path, monkeypatch, t
     assert (code, out, err) == (2, "", "error: step failed\n")
     assert not out_path.exists()
     # Steps are taken in order, and each other thread ends the one it has
-    # begun, of the 30 the plan has.
+    # begun, of the 20 the note lasts (the rest makes none).
     assert len(begun) <= 6 + threads - 1
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
-def test_render_threads_write_each_chunk_before_mixing_more(
+def test_render_threads_write_each_batch_before_mixing_another(
     capsys, tmp_path, monkeypatch, threads
 ):
     monkeypatch.setattr(audio, "_thread_count", lambda: threads)
     lock = threading.Lock()
-    # Samples each thread has mixed and not begun to write, and pieces written.
-    unwritten, ahead, written = {}, [], [0]
+    # Samples each thread has begun to mix and not begun to write, each
+    # time it begins a batch, with that batch's; and the offsets written.
+    unwritten, ahead, offsets = {}, [], []
     mix, pwrite = audio._Mixer.mix, os.pwrite
 
     def counted_mix(self, batch, start, t, *args):
-        # Counted once mixed, after any chunk that mixing it wrote first.
-        mix(self, batch, start, t, *args)
         with lock:
             me = threading.get_ident()
             unwritten[me] = unwritten.get(me, 0) + len(batch) * len(t)
-            ahead.append(unwritten[me])
+            ahead.append((unwritten[me], len(batch) * len(t)))
+        mix(self, batch, start, t, *args)
 
     def counted_pwrite(fd, data, offset):
         # A slow writer, so the render threads run as far ahead as they may.
         time.sleep(0.005)
         with lock:
             unwritten[threading.get_ident()] = 0
-            # The header is written at offset 0, each piece after it.
-            written[0] += offset > 0
+            offsets.append(offset)
         return pwrite(fd, data, offset)
 
     monkeypatch.setattr(audio._Mixer, "mix", counted_mix)
     monkeypatch.setattr(os, "pwrite", counted_pwrite)
     code, out, err, out_path = _render_cli(capsys, tmp_path, MANY_BLOCKS_PLAN)
     assert (code, err) == (0, "")
-    # One piece a block of each event, written by the thread that mixed it
-    # before it mixes more than a chunk, though it mixes several first.
-    assert written == [30]
-    assert audio.BLOCK < max(ahead) <= audio.CHUNK
+    # Nothing but the batch a thread begins is left unwritten.
+    assert all(left == cells <= audio.CHUNK for left, cells in ahead)
+    # The header, the last frame (a 0 of the rest, giving the file its
+    # length), and one piece a block of the note: the rest is never written.
+    frames = 30 * audio.BLOCK
+    notes = [44 + 2 * k * audio.BLOCK for k in range(20)]
+    assert sorted(offsets) == [0, *notes, 44 + 2 * (frames - 1)]
+    assert len(out_path.read_bytes()) == 44 + 2 * frames
 
 
 @pytest.mark.parametrize(
