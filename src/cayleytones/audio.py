@@ -22,7 +22,8 @@ SAMPLE_RATE = 44100
 _WAV_MAX_FRAMES = (2**32 - 1 - 36) // 2
 # Event-relative samples a render step makes of every event sounding there.
 BLOCK = 2048
-# Frequencies in a render thread's voice table of ROWS x BLOCK float64 samples.
+# A render thread's voice table holds ROWS x BLOCK float64 samples: ROWS
+# frequencies a full step, more in a step narrowed to fit them all.
 ROWS = 80
 # The most samples a render thread mixes, checks and hands on in one batch.
 CHUNK = 32_768
@@ -74,12 +75,17 @@ class ToneSpec:
 
 @value_type
 class SampleBuffer:
-    """Immutable mono samples in [-1, 1] at a fixed rate."""
+    """Immutable mono samples at a fixed rate in Hz. write_wav clips them
+    to [-32768, 32767] / 32767, the range read_wav gives back."""
 
     samples: np.ndarray
     sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self) -> None:
+        rate = _integer(self.sample_rate, "sample_rate")
+        # A WAV header stores 2 * rate, the bytes a second, in 32 bits.
+        if not 1 <= rate < 2**31:
+            raise ValueError(f"sample_rate must be 1 to {2**31 - 1} Hz, got {rate}")
         import numpy as np
 
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -426,26 +432,6 @@ def _event_samples(
     return mixed
 
 
-def _groups(events: list[tuple]) -> Iterator[tuple[list[tuple], dict]]:
-    """The events cut into groups, each a new list with its frequencies'
-    table rows ({frequency: row}), of at most ROWS frequencies unless one
-    event alone sounds more. Events are taken in order of their frequencies,
-    so that those that share one mostly share a group."""
-    rows = dict.fromkeys(f for event in events for f in event[3])
-    if len(rows) <= ROWS:
-        yield list(events), {f: row for row, f in enumerate(rows)}
-        return
-    group, rows = [], {}
-    for event in sorted(events, key=lambda event: event[3]):
-        if group and len(rows.keys() | set(event[3])) > ROWS:
-            yield group, rows
-            group, rows = [], {}
-        group.append(event)
-        for f in event[3]:
-            rows.setdefault(f, len(rows))
-    yield group, rows
-
-
 def _voice_batches(events: list[tuple], size: int) -> Iterator[list[tuple]]:
     """The events, most voices first, in batches of at most size: the
     events that sound a k-th voice are a prefix of each batch."""
@@ -466,27 +452,26 @@ class _Mixer:
         self.table, self.work = np.empty(ROWS * BLOCK), np.empty(CHUNK)
         self.chunk = np.zeros(CHUNK)
 
-    def step(self, start: int, group: list[tuple], index: dict) -> None:
-        """Mix samples start to start + BLOCK of each event of group, whose
-        frequencies have the rows index of the table; with more than ROWS of
-        them, each voice is made as it is mixed."""
+    def step(self, start: int, width: int, events: list[tuple], index: dict) -> None:
+        """Mix samples start to start + width of each of the events, whose
+        frequencies have the rows index of the table."""
         import numpy as np
 
-        width = min(BLOCK, max(event[0] for event in group) - start)
         # start + k is exact, so this is the event's arange / rate.
         t = np.arange(start, start + width, dtype=np.float64) / SAMPLE_RATE
         gain = None if self.envelope is None else self.envelope.amplitudes(t)
-        rows = None
-        if len(index) <= ROWS:
-            rows = self.table[: len(index) * width].reshape(-1, width)
-            _voices(rows, t, tuple(index), self.modulation_depth)
-        # Events whose release has begun, or whose voices are made here, are
-        # mixed first, each with its own gain; then the table is multiplied
-        # by the gain once for all the others.
+        cells = len(index) * width
+        # Wider than the table only at width 1, for a step that sounds more
+        # than ROWS * BLOCK frequencies.
+        table = self.table if cells <= len(self.table) else np.empty(cells)
+        rows = table[:cells].reshape(-1, width)
+        _voices(rows, t, tuple(index), self.modulation_depth)
+        # Events whose release has begun are mixed first, each with its own
+        # gain; then the table is multiplied by the gain once for the others.
         release = 0.0 if gain is None else self.envelope.release
         own, shared = [], []
-        for event in group:
-            late = rows is None or release and t[-1] >= event[2] - release
+        for event in events:
+            late = release and t[-1] >= event[2] - release
             (own if late else shared).append(event)
         for batch in _voice_batches(own, max(CHUNK // width // 2, 1)):
             self.mix(batch, start, t, rows, index, gain)
@@ -524,10 +509,7 @@ class _Mixer:
             while len(batch[count - 1][3]) <= k:
                 count -= 1
             voice = voices[:count]
-            if rows is None:
-                _voices(voice, t, (batch[0][3][k],), self.modulation_depth)
-            else:
-                rows.take([index[event[3][k]] for event in batch[:count]], 0, voice)
+            rows.take([index[event[3][k]] for event in batch[:count]], 0, voice)
             if g is not None:
                 np.multiply(voice, g if g.ndim == 1 else g[:count], out=voice)
             # Times 1.0 is exact, so a batch of one-voice events skips it.
@@ -548,19 +530,23 @@ def _synthesise(plan: RenderPlan, finish: Callable) -> None:
     that mixed it, in no fixed order: for each (frame, first, stop) in
     pieces, samples[first:stop] start at that frame.
 
-    Step k makes samples k * BLOCK to (k + 1) * BLOCK of every event that
-    lasts past k * BLOCK. A voice before its envelope depends only on its
-    frequency and the sample's index in the event, so each frequency is
-    made once a step into one row of a table of ROWS x BLOCK samples, from
-    which each event mixes its voices in its own order; the attack, decay
-    and sustain gain too is made once a step, and only release tails per
-    event. A step whose events sound more than ROWS frequencies is cut into
-    groups (see _groups). Each thread takes the next step as it finishes
-    one, and mixes its events in batches of at most CHUNK samples, each
-    passed to finish as soon as it is mixed. So memory is set by BLOCK,
-    ROWS, CHUNK and the thread count, not by the plan, and as every sample
-    is made by the elementwise steps of _event_samples in their order, it
-    does not depend on the step or thread.
+    Each step makes the next samples, by their index in the event, of
+    every event that lasts past its start. A voice before its envelope
+    depends only on its frequency and the sample's index in the event, so
+    each frequency sounding there is made once a step into one row of a
+    table, from which each event mixes its voices in its own order; the
+    attack, decay and sustain gain too is made once a step, and only
+    release tails per event. A step of F frequencies is min(BLOCK, ROWS *
+    BLOCK // F) samples wide, at least one and never past the longest
+    event, so the table of ROWS x BLOCK samples holds them all (a step of
+    more than ROWS * BLOCK frequencies is one sample wide, and allocates
+    its F). Each thread takes the next step as it finishes one, and mixes
+    its events in batches of at most CHUNK samples, each passed to finish
+    as soon as it is mixed. So up to ROWS * BLOCK frequencies a step,
+    memory is set by BLOCK, ROWS, CHUNK and the thread count, not by the
+    plan, and as every sample is made by the elementwise steps of
+    _event_samples in their order, it does not depend on the step or
+    thread.
     """
     # Imported here, as only rendering needs them and they slow every start-up.
     from concurrent.futures import ThreadPoolExecutor
@@ -579,11 +565,15 @@ def _synthesise(plan: RenderPlan, finish: Callable) -> None:
     events.sort(key=lambda event: -event[0])
 
     def make_steps() -> Iterator[tuple]:
-        for start in range(0, events[0][0], BLOCK):
+        start = 0
+        while start < events[0][0]:
             while events[-1][0] <= start:
                 events.pop()
-            for group, index in _groups(events):
-                yield start, group, index
+            frequencies = dict.fromkeys(f for event in events for f in event[3])
+            index = {f: row for row, f in enumerate(frequencies)}
+            width = min(BLOCK, events[0][0] - start, max(ROWS * BLOCK // len(index), 1))
+            yield start, width, list(events), index
+            start += width
 
     steps, lock = make_steps(), Lock()
 
@@ -730,7 +720,8 @@ def write_wav(buffer: SampleBuffer, path) -> None:
 
 
 def read_wav(path) -> SampleBuffer:
-    """Read back a mono 16-bit WAV into samples scaled to [-1, 1]."""
+    """Read back a mono 16-bit WAV into samples divided by 32767, so in
+    [-32768 / 32767, 1]; a rate SampleBuffer refuses is refused."""
     import wave
 
     import numpy as np

@@ -215,7 +215,11 @@ def _cmd_render(args: argparse.Namespace) -> _Output:
     import json
 
     with open(args.plan, encoding="utf-8") as handle:
-        plan = RenderPlan.from_dict(json.load(handle))
+        # One expression, so that the parsed JSON is freed before rendering.
+        try:
+            plan = RenderPlan.from_dict(json.load(handle))
+        except RecursionError:
+            raise CliError(f"the plan file {args.plan} nests too deeply to read") from None
     # The plan is fully checked, so the output file is opened only for a
     # plan that renders.
     samples = _render_wav(plan, args.out)

@@ -1,6 +1,7 @@
 """Tone generation, envelopes, mixing, rendering, WAV round-trips."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -378,6 +379,39 @@ def test_an_empty_buffer_writes_the_header_alone(tmp_path):
     write_wav(SampleBuffer(np.zeros(0)), path)
     assert path.stat().st_size == 44
     assert len(read_wav(path)) == 0
+
+
+@pytest.mark.parametrize(
+    "rate, message",
+    [
+        (0, "sample_rate must be 1 to 2147483647 Hz, got 0"),
+        (-1, "sample_rate must be 1 to 2147483647 Hz, got -1"),
+        (2**31, "sample_rate must be 1 to 2147483647 Hz, got 2147483648"),
+        (44100.5, "sample_rate must be an integer, got 44100.5"),
+        (True, "sample_rate must be an integer, got True"),
+    ],
+)
+def test_sample_buffer_refuses_a_rate_a_wav_header_cannot_hold(rate, message):
+    with pytest.raises(ValueError) as info:
+        SampleBuffer(np.zeros(2), rate)
+    assert str(info.value) == message
+
+
+def test_the_highest_sample_rate_round_trips(tmp_path):
+    path = tmp_path / "fast.wav"
+    write_wav(SampleBuffer(np.zeros(2), 2**31 - 1), path)
+    assert read_wav(path) == SampleBuffer(np.zeros(2), 2**31 - 1)
+
+
+def test_read_wav_refuses_a_0_hz_file(tmp_path):
+    path = tmp_path / "zero.wav"
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI", b"RIFF", 40, b"WAVE", b"fmt ", 16, 1, 1, 0, 0, 2, 16,
+        b"data", 4,
+    )
+    path.write_bytes(header + bytes(4))
+    with pytest.raises(ValueError, match="got 0$"):
+        read_wav(path)
 
 
 def test_wav_header_fields(tmp_path):

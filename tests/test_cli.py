@@ -702,6 +702,8 @@ def _rests_plan(*frame_counts):
         json.dumps(_note_plan(events=[{"kind": "note", "duration": 0.1, "notes": 0}])),
         '{"system": {"p": 4, "q": 3}, '
         '"events": [{"kind": "note", "duration": "inf", "notes": [0]}]}',
+        # nested past the depth the JSON decoder recurses to
+        "[" * 200_000,
         # non-finite values
         '{"system": {"p": 4, "q": 3, "f0": 1e309}, '
         '"events": [{"kind": "note", "duration": 0.1, "notes": [0]}]}',
@@ -1207,8 +1209,9 @@ def _random_plan(seed):
 
 def _spread_plan(pitches):
     """Two hundred 0.05 s notes, then a 0.1 s chord, over the pitches of
-    Z_40 given as (note, octave): with all 40 residues at octaves -3..3, a
-    step sounds more frequencies than a table holds, and so does the chord."""
+    Z_40 given as (note, octave): with all 40 residues at octaves -3..3,
+    every step sounds 280 frequencies, more than the table's 80 rows, so
+    the steps narrow to 585 samples."""
     notes = [{"note": k, "octave": o} for k, o in pitches]
     events = [{"kind": "note", "duration": 0.05, "notes": [notes[i % len(notes)]]} for i in range(200)]
     events.append({"kind": "chord", "duration": 0.1, "notes": notes})
@@ -1217,22 +1220,84 @@ def _spread_plan(pitches):
 
 
 SPREAD_PITCHES = [(k, o) for o in range(-3, 4) for k in range(40)]
+SPREAD_PLAN = _spread_plan(SPREAD_PITCHES)
+
+# A 24-sample chord of all 40 residues of Z_40 between notes and a rest,
+# with every envelope segment under five samples.
+SHORT_WIDE_CHORD_PLAN = dict(
+    STREAM_PLAN,
+    system={"p": 8, "q": 5},
+    events=[
+        {"kind": "note", "duration": 100 / audio.SAMPLE_RATE, "notes": [3]},
+        {"kind": "chord", "duration": 24 / audio.SAMPLE_RATE, "notes": list(range(40))},
+        {"kind": "rest", "duration": 5 / audio.SAMPLE_RATE},
+        {"kind": "note", "duration": 60 / audio.SAMPLE_RATE,
+         "notes": [{"note": 3, "octave": 1}]},
+    ],
+    envelope={"attack": 0.0001, "decay": 0.0001, "sustain_level": 0.6, "release": 0.0001},
+)
+
+# (plan, (ROWS, BLOCK) or None for the module's): tables small enough that
+# steps narrow, down to one sample for the short chord, whose 41 frequencies
+# outnumber the table's 16 samples.
+RENDER_CASES = (
+    [(_random_plan(seed), None) for seed in range(8)]
+    + [(SPREAD_PLAN, None)]
+    + [(_random_plan(seed), (3, 128)) for seed in range(8)]
+    + [(SPREAD_PLAN, (40, 256)), (SHORT_WIDE_CHORD_PLAN, (2, 8))]
+)
 
 
 @pytest.mark.parametrize("threads", [1, 4])
 @pytest.mark.parametrize(
-    "plan",
-    [_random_plan(seed) for seed in range(8)] + [_spread_plan(SPREAD_PITCHES)],
-    ids=[f"seed-{seed}" for seed in range(8)] + ["spread"],
+    "plan, table",
+    RENDER_CASES,
+    ids=[f"seed-{seed}" for seed in range(8)] + ["spread"]
+    + [f"seed-{seed}-small-table" for seed in range(8)]
+    + ["spread-small-table", "short-wide-chord"],
 )
 def test_render_bytes_equal_those_of_each_event_made_alone(
-    capsys, tmp_path, monkeypatch, plan, threads
+    capsys, tmp_path, monkeypatch, plan, table, threads
 ):
     assert len(SPREAD_PITCHES) > audio.ROWS
     monkeypatch.setattr(audio, "_thread_count", lambda: threads)
+    steps, step = [], audio._Mixer.step
+
+    def recorded(self, start, width, events, index):
+        steps.append((width, len(index)))
+        step(self, start, width, events, index)
+
+    monkeypatch.setattr(audio._Mixer, "step", recorded)
+    rows, block = table or (audio.ROWS, audio.BLOCK)
+    monkeypatch.setattr(audio, "ROWS", rows)
+    monkeypatch.setattr(audio, "BLOCK", block)
     code, out, err, out_path = _render_cli(capsys, tmp_path, plan)
     assert (code, err) == (0, "")
     assert out_path.read_bytes() == _whole_event_wav(plan, tmp_path / "serial.wav")
+    if table is not None or plan is SPREAD_PLAN:
+        # Some step sounds more frequencies than the table has rows.
+        assert any(width < block and count > rows for width, count in steps)
+    if plan is SHORT_WIDE_CHORD_PLAN:
+        assert max(count for _, count in steps) > rows * block
+
+
+def test_render_makes_each_sample_of_a_frequency_once(monkeypatch):
+    made, voices = [], audio._voices
+
+    def recorded(out, t, frequencies, depth):
+        first = round(t[0] * audio.SAMPLE_RATE)
+        made.extend((f, first, first + out.shape[1]) for f in frequencies)
+        voices(out, t, frequencies, depth)
+
+    monkeypatch.setattr(audio, "_voices", recorded)
+    render(RenderPlan.from_dict(SPREAD_PLAN))
+    spans = {}
+    for f, first, stop in made:
+        spans.setdefault(f, []).append((first, stop))
+    assert len(spans) == len(SPREAD_PITCHES)
+    for ranges in spans.values():
+        ranges.sort()
+        assert all(stop <= first for (_, stop), (first, _) in zip(ranges, ranges[1:]))
 
 
 # Rests only, and notes that end in a rest: no render thread writes a rest,
@@ -1268,7 +1333,7 @@ def test_render_leaves_each_rest_as_the_zeros_the_file_starts_with(
 
 def test_render_peak_memory_does_not_grow_with_distinct_frequencies(capsys, tmp_path):
     few, many = _peaks(
-        capsys, tmp_path, [_spread_plan([(0, 0), (7, 0)]), _spread_plan(SPREAD_PITCHES)]
+        capsys, tmp_path, [_spread_plan([(0, 0), (7, 0)]), SPREAD_PLAN]
     )
     assert many <= 1.25 * few
 
