@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import os
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
@@ -82,10 +83,19 @@ class SampleBuffer:
     sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self) -> None:
-        rate = _integer(self.sample_rate, "sample_rate")
+        # Any integer type, numpy's too, but not a bool.
+        try:
+            if isinstance(self.sample_rate, bool):
+                raise TypeError
+            rate = operator.index(self.sample_rate)
+        except TypeError:
+            raise ValueError(
+                f"sample_rate must be an integer, got {self.sample_rate!r}"
+            ) from None
         # A WAV header stores 2 * rate, the bytes a second, in 32 bits.
         if not 1 <= rate < 2**31:
             raise ValueError(f"sample_rate must be 1 to {2**31 - 1} Hz, got {rate}")
+        object.__setattr__(self, "sample_rate", rate)
         import numpy as np
 
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -432,6 +442,35 @@ def _event_samples(
     return mixed
 
 
+def _parts(events: list[tuple]) -> list[list[tuple]]:
+    """The events cut into parts that share no frequency, each longest
+    first, so that the events still sounding at a step are a prefix. Events
+    linked by frequencies they share stay together; those that share none
+    are packed together while a part has at most ROWS frequencies."""
+    root: dict = {}
+
+    def find(f: float) -> float:
+        while root.setdefault(f, f) != f:
+            root[f] = f = root[root[f]]
+        return f
+
+    for event in events:
+        for f in event[3][1:]:
+            root[find(f)] = find(event[3][0])
+    linked: dict = {}
+    for event in events:
+        linked.setdefault(find(event[3][0]), []).append(event)
+    parts, rows = [], ROWS  # as if full, so the first events start a part
+    for group in linked.values():
+        count = len({f for event in group for f in event[3]})
+        if rows + count > ROWS:
+            parts.append([])
+            rows = 0
+        parts[-1] += group
+        rows += count
+    return [sorted(part, key=lambda event: -event[0]) for part in parts]
+
+
 def _voice_batches(events: list[tuple], size: int) -> Iterator[list[tuple]]:
     """The events, most voices first, in batches of at most size: the
     events that sound a k-th voice are a prefix of each batch."""
@@ -450,28 +489,32 @@ class _Mixer:
         self.finish, self.envelope = finish, plan.envelope
         self.modulation_depth = plan.modulation_depth
         self.table, self.work = np.empty(ROWS * BLOCK), np.empty(CHUNK)
-        self.chunk = np.zeros(CHUNK)
+        self.chunk, self.sums = np.zeros(CHUNK), np.empty(CHUNK)
 
     def step(self, start: int, width: int, events: list[tuple], index: dict) -> None:
         """Mix samples start to start + width of each of the events, whose
-        frequencies have the rows index of the table."""
+        frequencies have the rows index of the table; an event alone with
+        more than the table holds makes its voices as it mixes them."""
         import numpy as np
 
         # start + k is exact, so this is the event's arange / rate.
         t = np.arange(start, start + width, dtype=np.float64) / SAMPLE_RATE
         gain = None if self.envelope is None else self.envelope.amplitudes(t)
-        cells = len(index) * width
-        # Wider than the table only at width 1, for a step that sounds more
-        # than ROWS * BLOCK frequencies.
-        table = self.table if cells <= len(self.table) else np.empty(cells)
-        rows = table[:cells].reshape(-1, width)
-        _voices(rows, t, tuple(index), self.modulation_depth)
-        # Events whose release has begun are mixed first, each with its own
-        # gain; then the table is multiplied by the gain once for the others.
+        cells, rows = len(index) * width, None
+        # An event alone that sounds more than the table holds makes each
+        # voice as it is mixed. Otherwise the table is wider only at width
+        # 1, for a step that sounds more than ROWS * BLOCK frequencies.
+        if len(events) > 1 or cells <= len(self.table):
+            table = self.table if cells <= len(self.table) else np.empty(cells)
+            rows = table[:cells].reshape(-1, width)
+            _voices(rows, t, tuple(index), self.modulation_depth)
+        # Events whose release has begun, or whose voices are made here, are
+        # mixed first, each with its own gain; then the table is multiplied
+        # by the gain once for all the others.
         release = 0.0 if gain is None else self.envelope.release
         own, shared = [], []
         for event in events:
-            late = release and t[-1] >= event[2] - release
+            late = rows is None or release and t[-1] >= event[2] - release
             (own if late else shared).append(event)
         for batch in _voice_batches(own, max(CHUNK // width // 2, 1)):
             self.mix(batch, start, t, rows, index, gain)
@@ -483,9 +526,10 @@ class _Mixer:
     def mix(self, batch: list[tuple], start: int, t, rows, index, gain=None) -> None:
         """Mix the batch's events into the chunk, each as one row len(t) wide
         whatever its length: their k-th voices together, by the steps of
-        _event_samples. Each voice is multiplied by gain, with its event's
-        release written over it, or by nothing where the table holds it.
-        Then pass the rows to finish, each cut to its event's length."""
+        _event_samples, taken from rows or, if it is None, made here. Each
+        voice is multiplied by gain, with its event's release written over
+        it, or by nothing where the table holds it. Then pass the rows to
+        finish, each cut to its event's length."""
         import numpy as np
 
         width = len(t)
@@ -504,18 +548,36 @@ class _Mixer:
             np.divide(g, release, out=g)
             np.copyto(g, gain, where=t < durations - release)
         weights = np.array([1.0 / len(event[3]) for event in batch])[:, None]
-        count = len(batch)
-        for k in range(len(batch[0][3])):
+        count, k, last = len(batch), 0, len(batch[0][3])
+        while k < last:
             while len(batch[count - 1][3]) <= k:
                 count -= 1
-            voice = voices[:count]
-            rows.take([index[event[3][k]] for event in batch[:count]], 0, voice)
+            if count > 1 or last - k <= ROWS:
+                stop, voice = k + 1, voices[:count]
+                frequencies = [event[3][k] for event in batch[:count]]
+            else:
+                # The first event alone has more than ROWS voices left: as
+                # many as fit follow its mixed row, and one running sum adds
+                # them to it in turn, as one add a voice would.
+                stop = min(last, k + len(self.sums) // width - 1)
+                sums = self.sums[: (stop - k + 1) * width].reshape(-1, width)
+                voice, frequencies = sums[1:], batch[0][3][k:stop]
+            if rows is None:
+                _voices(voice, t, frequencies, self.modulation_depth)
+            else:
+                rows.take([index[f] for f in frequencies], 0, voice)
             if g is not None:
                 np.multiply(voice, g if g.ndim == 1 else g[:count], out=voice)
             # Times 1.0 is exact, so a batch of one-voice events skips it.
-            if len(batch[0][3]) > 1:
+            if last > 1:
                 np.multiply(voice, weights[:count], out=voice)
-            np.add(mixed[:count], voice, out=mixed[:count])
+            if stop == k + 1:
+                np.add(mixed[:count], voice, out=mixed[:count])
+            else:
+                sums[0] = mixed[0]
+                np.add.accumulate(sums, out=sums)
+                mixed[0] = sums[-1]
+            k = stop
         pieces = [
             (frame + start, row * width, row * width + min(width, length - start))
             for row, (length, frame, _, _) in enumerate(batch)
@@ -530,8 +592,9 @@ def _synthesise(plan: RenderPlan, finish: Callable) -> None:
     that mixed it, in no fixed order: for each (frame, first, stop) in
     pieces, samples[first:stop] start at that frame.
 
-    Each step makes the next samples, by their index in the event, of
-    every event that lasts past its start. A voice before its envelope
+    Events that share no frequency are stepped apart (see _parts). Each
+    step makes the next samples, by their index in the event, of every
+    event of a part that lasts past its start. A voice before its envelope
     depends only on its frequency and the sample's index in the event, so
     each frequency sounding there is made once a step into one row of a
     table, from which each event mixes its voices in its own order; the
@@ -540,13 +603,15 @@ def _synthesise(plan: RenderPlan, finish: Callable) -> None:
     BLOCK // F) samples wide, at least one and never past the longest
     event, so the table of ROWS x BLOCK samples holds them all (a step of
     more than ROWS * BLOCK frequencies is one sample wide, and allocates
-    its F). Each thread takes the next step as it finishes one, and mixes
-    its events in batches of at most CHUNK samples, each passed to finish
-    as soon as it is mixed. So up to ROWS * BLOCK frequencies a step,
-    memory is set by BLOCK, ROWS, CHUNK and the thread count, not by the
-    plan, and as every sample is made by the elementwise steps of
-    _event_samples in their order, it does not depend on the step or
-    thread.
+    its F). A step of one event is not narrowed: if it sounds more than
+    the table holds, it makes each voice as it mixes it. So each sample of
+    a frequency is made once, except of a pitch such an event repeats.
+    Each thread takes the next step as it finishes one, and mixes its
+    events in batches of at most CHUNK samples, each passed to finish as
+    soon as it is mixed. So up to ROWS * BLOCK frequencies a step, memory
+    is set by BLOCK, ROWS, CHUNK and the thread count, not by the plan, and
+    as every sample is made by the elementwise steps of _event_samples in
+    their order, it does not depend on the step or thread.
     """
     # Imported here, as only rendering needs them and they slow every start-up.
     from concurrent.futures import ThreadPoolExecutor
@@ -561,19 +626,20 @@ def _synthesise(plan: RenderPlan, finish: Callable) -> None:
         frame += count
     if not events:
         return
-    # Longest first, so the events still sounding at a step are a prefix.
-    events.sort(key=lambda event: -event[0])
 
     def make_steps() -> Iterator[tuple]:
-        start = 0
-        while start < events[0][0]:
-            while events[-1][0] <= start:
-                events.pop()
-            frequencies = dict.fromkeys(f for event in events for f in event[3])
-            index = {f: row for row, f in enumerate(frequencies)}
-            width = min(BLOCK, events[0][0] - start, max(ROWS * BLOCK // len(index), 1))
-            yield start, width, list(events), index
-            start += width
+        for part in _parts(events):
+            start = 0
+            while start < part[0][0]:
+                while part[-1][0] <= start:
+                    part.pop()
+                frequencies = dict.fromkeys(f for event in part for f in event[3])
+                index = {f: row for row, f in enumerate(frequencies)}
+                width = min(BLOCK, part[0][0] - start)
+                if len(part) > 1:
+                    width = min(width, max(ROWS * BLOCK // len(index), 1))
+                yield start, width, list(part), index
+                start += width
 
     steps, lock = make_steps(), Lock()
 

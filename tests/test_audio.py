@@ -397,6 +397,14 @@ def test_sample_buffer_refuses_a_rate_a_wav_header_cannot_hold(rate, message):
     assert str(info.value) == message
 
 
+def test_sample_buffer_takes_a_numpy_integer_rate(tmp_path):
+    path = tmp_path / "numpy-rate.wav"
+    buffer = SampleBuffer(np.zeros(2), np.int64(8000))
+    assert type(buffer.sample_rate) is int
+    write_wav(buffer, path)
+    assert read_wav(path) == SampleBuffer(np.zeros(2), 8000)
+
+
 def test_the_highest_sample_rate_round_trips(tmp_path):
     path = tmp_path / "fast.wav"
     write_wav(SampleBuffer(np.zeros(2), 2**31 - 1), path)

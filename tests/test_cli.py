@@ -1237,14 +1237,31 @@ SHORT_WIDE_CHORD_PLAN = dict(
     envelope={"attack": 0.0001, "decay": 0.0001, "sustain_level": 0.6, "release": 0.0001},
 )
 
+# A chord of 100 of the pitches of Z_40 at octaves -1..1, two blocks and
+# five samples long, that shares none with the notes around it: an event
+# alone that sounds more frequencies than the table has rows.
+LONE_WIDE_CHORD_PLAN = dict(
+    STREAM_PLAN,
+    system={"p": 8, "q": 5},
+    events=[
+        {"kind": "note", "duration": 0.01, "notes": [{"note": 3, "octave": 2}]},
+        {"kind": "chord", "duration": (2 * audio.BLOCK + 5) / audio.SAMPLE_RATE,
+         "notes": [{"note": k % 40, "octave": k // 40 - 1} for k in range(100)]},
+        {"kind": "rest", "duration": 0.001},
+        {"kind": "note", "duration": 0.02, "notes": [{"note": 3, "octave": 2}]},
+    ],
+    envelope={"attack": 0.001, "decay": 0.002, "sustain_level": 0.7, "release": 0.002},
+)
+
 # (plan, (ROWS, BLOCK) or None for the module's): tables small enough that
-# steps narrow, down to one sample for the short chord, whose 41 frequencies
-# outnumber the table's 16 samples.
+# steps narrow, down to one sample for the short chord, whose 40 frequencies
+# with the note that shares one outnumber the table's 16 samples.
 RENDER_CASES = (
     [(_random_plan(seed), None) for seed in range(8)]
-    + [(SPREAD_PLAN, None)]
-    + [(_random_plan(seed), (3, 128)) for seed in range(8)]
+    + [(SPREAD_PLAN, None), (LONE_WIDE_CHORD_PLAN, None)]
+    + [(_random_plan(seed), (1, 128)) for seed in range(8)]
     + [(SPREAD_PLAN, (40, 256)), (SHORT_WIDE_CHORD_PLAN, (2, 8))]
+    + [(LONE_WIDE_CHORD_PLAN, (2, 8))]
 )
 
 
@@ -1252,9 +1269,9 @@ RENDER_CASES = (
 @pytest.mark.parametrize(
     "plan, table",
     RENDER_CASES,
-    ids=[f"seed-{seed}" for seed in range(8)] + ["spread"]
+    ids=[f"seed-{seed}" for seed in range(8)] + ["spread", "lone-wide-chord"]
     + [f"seed-{seed}-small-table" for seed in range(8)]
-    + ["spread-small-table", "short-wide-chord"],
+    + ["spread-small-table", "short-wide-chord", "lone-wide-chord-small-table"],
 )
 def test_render_bytes_equal_those_of_each_event_made_alone(
     capsys, tmp_path, monkeypatch, plan, table, threads
@@ -1264,7 +1281,7 @@ def test_render_bytes_equal_those_of_each_event_made_alone(
     steps, step = [], audio._Mixer.step
 
     def recorded(self, start, width, events, index):
-        steps.append((width, len(index)))
+        steps.append((width, len(index), len(events)))
         step(self, start, width, events, index)
 
     monkeypatch.setattr(audio._Mixer, "step", recorded)
@@ -1274,11 +1291,25 @@ def test_render_bytes_equal_those_of_each_event_made_alone(
     code, out, err, out_path = _render_cli(capsys, tmp_path, plan)
     assert (code, err) == (0, "")
     assert out_path.read_bytes() == _whole_event_wav(plan, tmp_path / "serial.wav")
-    if table is not None or plan is SPREAD_PLAN:
-        # Some step sounds more frequencies than the table has rows.
-        assert any(width < block and count > rows for width, count in steps)
+    # Bit for bit before quantizing too, where a sum in another order shows.
+    samples = render(RenderPlan.from_dict(plan)).samples
+    assert samples.tobytes() == _whole_event_samples(plan).tobytes()
+    # Only an event alone, or a step one sample wide, outgrows the table.
+    assert all(
+        count * width <= rows * block or width == 1 or events == 1
+        for width, count, events in steps
+    )
+    if plan is LONE_WIDE_CHORD_PLAN:
+        assert any(events == 1 and count > rows for _, count, events in steps)
+    elif table is not None or plan is SPREAD_PLAN:
+        # Some step of events that share frequencies sounds more of them
+        # than the table has rows, and so narrows.
+        assert any(
+            width < block and count > rows and events > 1
+            for width, count, events in steps
+        )
     if plan is SHORT_WIDE_CHORD_PLAN:
-        assert max(count for _, count in steps) > rows * block
+        assert max(count for _, count, _ in steps) > rows * block
 
 
 def test_render_makes_each_sample_of_a_frequency_once(monkeypatch):
