@@ -1331,6 +1331,48 @@ def test_render_makes_each_sample_of_a_frequency_once(monkeypatch):
         assert all(stop <= first for (_, stop), (first, _) in zip(ranges, ranges[1:]))
 
 
+# Two hundred notes of distinct pitches, which share nothing.
+SCALE_PLAN = dict(
+    STREAM_PLAN,
+    system={"p": 8, "q": 5},
+    events=[
+        {"kind": "note", "duration": 0.01, "notes": [{"note": k % 40, "octave": k // 40 - 2}]}
+        for k in range(200)
+    ],
+    envelope=None,
+)
+
+
+@pytest.mark.parametrize(
+    "plan, sizes",
+    [
+        # Notes that share nothing are packed ROWS frequencies a part.
+        (SCALE_PLAN, [80, 80, 40]),
+        # Every note shares its pitch with the chord.
+        (SPREAD_PLAN, [280]),
+        # The chord and note 3 share a pitch; the last note shares none and
+        # is packed with them.
+        (SHORT_WIDE_CHORD_PLAN, [41]),
+    ],
+    ids=["scale", "spread", "short-wide-chord"],
+)
+def test_render_parts_share_no_frequency(plan, sizes):
+    plan = RenderPlan.from_dict(plan)
+    events = [
+        (round(audio.SAMPLE_RATE * event.duration), i, event.duration,
+         tuple(audio.note_frequency(plan.system, *note) for note in event.notes))
+        for i, event in enumerate(plan.events) if event.notes
+    ]
+    parts = audio._parts(events)
+    assert sorted(event for part in parts for event in part) == sorted(events)
+    frequencies = [{f for event in part for f in event[3]} for part in parts]
+    assert [len(part) for part in frequencies] == sizes
+    # No two parts share a frequency.
+    assert sum(sizes) == len(set().union(*frequencies))
+    for part in parts:
+        assert [event[0] for event in part] == sorted((event[0] for event in part), reverse=True)
+
+
 # Rests only, and notes that end in a rest: no render thread writes a rest,
 # so these frames hold the zeros the file was given its length with.
 RESTS_ONLY_PLAN = _rests_plan(3 * audio.BLOCK + 5, 7)
