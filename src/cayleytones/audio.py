@@ -552,20 +552,24 @@ class _Mixer:
         while k < last:
             while len(batch[count - 1][3]) <= k:
                 count -= 1
-            if count > 1 or last - k <= ROWS:
+            # Voices the count events all have left, and how many of them a
+            # run of sums holds after their mixed rows.
+            common = len(batch[count - 1][3]) - k
+            fit = len(self.sums) // (count * width) - 1
+            if common <= ROWS or fit < 2:
                 stop, voice = k + 1, voices[:count]
-                frequencies = [event[3][k] for event in batch[:count]]
             else:
-                # The first event alone has more than ROWS voices left: as
-                # many as fit follow its mixed row, and one running sum adds
-                # them to it in turn, as one add a voice would.
-                stop = min(last, k + len(self.sums) // width - 1)
-                sums = self.sums[: (stop - k + 1) * width].reshape(-1, width)
-                voice, frequencies = sums[1:], batch[0][3][k:stop]
+                # Many voices each: a run of them follows the mixed rows,
+                # and one running sum adds them in turn, as one add a voice.
+                stop = k + min(common, fit)
+                sums = self.sums[: (stop - k + 1) * count * width]
+                sums = sums.reshape(-1, count, width)
+                voice = sums[1:]
+            frequencies = [e[3][j] for j in range(k, stop) for e in batch[:count]]
             if rows is None:
-                _voices(voice, t, frequencies, self.modulation_depth)
+                _voices(voice.reshape(-1, width), t, frequencies, self.modulation_depth)
             else:
-                rows.take([index[f] for f in frequencies], 0, voice)
+                rows.take([index[f] for f in frequencies], 0, voice.reshape(-1, width))
             if g is not None:
                 np.multiply(voice, g if g.ndim == 1 else g[:count], out=voice)
             # Times 1.0 is exact, so a batch of one-voice events skips it.
@@ -574,9 +578,9 @@ class _Mixer:
             if stop == k + 1:
                 np.add(mixed[:count], voice, out=mixed[:count])
             else:
-                sums[0] = mixed[0]
+                sums[0] = mixed[:count]
                 np.add.accumulate(sums, out=sums)
-                mixed[0] = sums[-1]
+                mixed[:count] = sums[-1]
             k = stop
         pieces = [
             (frame + start, row * width, row * width + min(width, length - start))
