@@ -83,15 +83,11 @@ class SampleBuffer:
     sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self) -> None:
+        rate = self.sample_rate
         # Any integer type, numpy's too, but not a bool.
-        try:
-            if isinstance(self.sample_rate, bool):
-                raise TypeError
-            rate = operator.index(self.sample_rate)
-        except TypeError:
-            raise ValueError(
-                f"sample_rate must be an integer, got {self.sample_rate!r}"
-            ) from None
+        if isinstance(rate, bool) or not hasattr(rate, "__index__"):
+            raise ValueError(f"sample_rate must be an integer, got {rate!r}")
+        rate = operator.index(rate)
         # A WAV header stores 2 * rate, the bytes a second, in 32 bits.
         if not 1 <= rate < 2**31:
             raise ValueError(f"sample_rate must be 1 to {2**31 - 1} Hz, got {rate}")
