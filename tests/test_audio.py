@@ -397,6 +397,20 @@ def test_sample_buffer_refuses_a_rate_a_wav_header_cannot_hold(rate, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "samples, message",
+    [
+        (np.zeros((3, 4)), "samples must be one-dimensional, got shape (3, 4)"),
+        (np.float64(0.5), "samples must be one-dimensional, got shape ()"),
+    ],
+    ids=["2-d", "0-d"],
+)
+def test_sample_buffer_refuses_samples_that_are_not_one_dimensional(samples, message):
+    with pytest.raises(ValueError) as info:
+        SampleBuffer(samples)
+    assert str(info.value) == message
+
+
 def test_sample_buffer_takes_a_numpy_integer_rate(tmp_path):
     path = tmp_path / "numpy-rate.wav"
     buffer = SampleBuffer(np.zeros(2), np.int64(8000))

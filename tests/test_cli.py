@@ -1210,8 +1210,8 @@ def _random_plan(seed):
 def _spread_plan(pitches):
     """Two hundred 0.05 s notes, then a 0.1 s chord, over the pitches of
     Z_40 given as (note, octave): with all 40 residues at octaves -3..3,
-    every step sounds 280 frequencies, more than the table's 80 rows, so
-    the steps narrow to 585 samples."""
+    every step sounds 280 frequencies, so a table of 40 rows of 256
+    samples narrows the steps to 36."""
     notes = [{"note": k, "octave": o} for k, o in pitches]
     events = [{"kind": "note", "duration": 0.05, "notes": [notes[i % len(notes)]]} for i in range(200)]
     events.append({"kind": "chord", "duration": 0.1, "notes": notes})
@@ -1219,8 +1219,7 @@ def _spread_plan(pitches):
     return dict(STREAM_PLAN, system={"p": 8, "q": 5}, events=events, envelope=envelope)
 
 
-SPREAD_PITCHES = [(k, o) for o in range(-3, 4) for k in range(40)]
-SPREAD_PLAN = _spread_plan(SPREAD_PITCHES)
+SPREAD_PLAN = _spread_plan([(k, o) for o in range(-3, 4) for k in range(40)])
 
 # A 24-sample chord of all 40 residues of Z_40 between notes and a rest,
 # with every envelope segment under five samples.
@@ -1238,8 +1237,8 @@ SHORT_WIDE_CHORD_PLAN = dict(
 )
 
 # A chord of 100 of the pitches of Z_40 at octaves -1..1, two blocks and
-# five samples long, that shares none with the notes around it: an event
-# alone that sounds more frequencies than the table has rows.
+# five samples long, that shares none with the notes around it: in a table
+# of 2 rows, an event alone that sounds more frequencies than it has rows.
 LONE_WIDE_CHORD_PLAN = dict(
     STREAM_PLAN,
     system={"p": 8, "q": 5},
@@ -1253,12 +1252,27 @@ LONE_WIDE_CHORD_PLAN = dict(
     envelope={"attack": 0.001, "decay": 0.002, "sustain_level": 0.7, "release": 0.002},
 )
 
+# A 0.05 s chord of 2,100 pitches of Z_4095 at octave -1 between two
+# notes that share one of them: its steps sound more frequencies than the
+# module's table has rows, so they narrow.
+NARROW_PITCHES = [{"note": k, "octave": -1} for k in range(2100)]
+NARROW_PLAN = dict(
+    STREAM_PLAN,
+    system={"p": 65, "q": 63},
+    events=[
+        {"kind": "note", "duration": 0.1, "notes": [NARROW_PITCHES[7]]},
+        {"kind": "chord", "duration": 0.05, "notes": NARROW_PITCHES},
+        {"kind": "note", "duration": 0.04, "notes": [NARROW_PITCHES[7]]},
+    ],
+    envelope={"attack": 0.005, "decay": 0.01, "sustain_level": 0.7, "release": 0.02},
+)
+
 # (plan, (ROWS, BLOCK) or None for the module's): tables small enough that
 # steps narrow, down to one sample for the short chord, whose 40 frequencies
 # with the note that shares one outnumber the table's 16 samples.
 RENDER_CASES = (
     [(_random_plan(seed), None) for seed in range(8)]
-    + [(SPREAD_PLAN, None), (LONE_WIDE_CHORD_PLAN, None)]
+    + [(SPREAD_PLAN, None), (LONE_WIDE_CHORD_PLAN, None), (NARROW_PLAN, None)]
     + [(_random_plan(seed), (1, 128)) for seed in range(8)]
     + [(SPREAD_PLAN, (40, 256)), (SHORT_WIDE_CHORD_PLAN, (2, 8))]
     + [(LONE_WIDE_CHORD_PLAN, (2, 8))]
@@ -1269,14 +1283,14 @@ RENDER_CASES = (
 @pytest.mark.parametrize(
     "plan, table",
     RENDER_CASES,
-    ids=[f"seed-{seed}" for seed in range(8)] + ["spread", "lone-wide-chord"]
+    ids=[f"seed-{seed}" for seed in range(8)] + ["spread", "lone-wide-chord", "narrow"]
     + [f"seed-{seed}-small-table" for seed in range(8)]
     + ["spread-small-table", "short-wide-chord", "lone-wide-chord-small-table"],
 )
 def test_render_bytes_equal_those_of_each_event_made_alone(
     capsys, tmp_path, monkeypatch, plan, table, threads
 ):
-    assert len(SPREAD_PITCHES) > audio.ROWS
+    assert len(NARROW_PITCHES) > audio.ROWS
     monkeypatch.setattr(audio, "_thread_count", lambda: threads)
     steps, step = [], audio._Mixer.step
 
@@ -1294,14 +1308,17 @@ def test_render_bytes_equal_those_of_each_event_made_alone(
     # Bit for bit before quantizing too, where a sum in another order shows.
     samples = render(RenderPlan.from_dict(plan)).samples
     assert samples.tobytes() == _whole_event_samples(plan).tobytes()
-    # Only an event alone, or a step one sample wide, outgrows the table.
+    # Only a step one sample wide outgrows the table.
     assert all(
-        count * width <= rows * block or width == 1 or events == 1
-        for width, count, events in steps
+        count * width <= rows * block or width == 1 for width, count, _ in steps
     )
-    if plan is LONE_WIDE_CHORD_PLAN:
-        assert any(events == 1 and count > rows for _, count, events in steps)
-    elif table is not None or plan is SPREAD_PLAN:
+    if plan is LONE_WIDE_CHORD_PLAN and table is not None:
+        # An event alone narrows like any other step.
+        assert any(
+            width < block and count > rows and events == 1
+            for width, count, events in steps
+        )
+    elif table is not None or plan is NARROW_PLAN:
         # Some step of events that share frequencies sounds more of them
         # than the table has rows, and so narrows.
         assert any(
@@ -1312,7 +1329,19 @@ def test_render_bytes_equal_those_of_each_event_made_alone(
         assert max(count for _, count, _ in steps) > rows * block
 
 
-def test_render_makes_each_sample_of_a_frequency_once(monkeypatch):
+# A chord alone that repeats a pitch, for four blocks and more.
+LONE_REPEATED_PITCH_PLAN = dict(
+    STREAM_PLAN,
+    events=[{"kind": "chord", "duration": 0.2, "notes": [0, 4, 7, 0, {"note": 4, "octave": 1}]}],
+)
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [SPREAD_PLAN, NARROW_PLAN, LONE_REPEATED_PITCH_PLAN],
+    ids=["spread", "narrow", "lone-repeated-pitch"],
+)
+def test_render_makes_each_sample_of_a_frequency_once(monkeypatch, plan):
     made, voices = [], audio._voices
 
     def recorded(out, t, frequencies, depth):
@@ -1321,56 +1350,19 @@ def test_render_makes_each_sample_of_a_frequency_once(monkeypatch):
         voices(out, t, frequencies, depth)
 
     monkeypatch.setattr(audio, "_voices", recorded)
-    render(RenderPlan.from_dict(SPREAD_PLAN))
+    plan = RenderPlan.from_dict(plan)
+    render(plan)
     spans = {}
     for f, first, stop in made:
         spans.setdefault(f, []).append((first, stop))
-    assert len(spans) == len(SPREAD_PITCHES)
+    assert set(spans) == {
+        audio.note_frequency(plan.system, *note)
+        for event in plan.events
+        for note in event.notes
+    }
     for ranges in spans.values():
         ranges.sort()
         assert all(stop <= first for (_, stop), (first, _) in zip(ranges, ranges[1:]))
-
-
-# Two hundred notes of distinct pitches, which share nothing.
-SCALE_PLAN = dict(
-    STREAM_PLAN,
-    system={"p": 8, "q": 5},
-    events=[
-        {"kind": "note", "duration": 0.01, "notes": [{"note": k % 40, "octave": k // 40 - 2}]}
-        for k in range(200)
-    ],
-    envelope=None,
-)
-
-
-@pytest.mark.parametrize(
-    "plan, sizes",
-    [
-        # Notes that share nothing are packed ROWS frequencies a part.
-        (SCALE_PLAN, [80, 80, 40]),
-        # Every note shares its pitch with the chord.
-        (SPREAD_PLAN, [280]),
-        # The chord and note 3 share a pitch; the last note shares none and
-        # is packed with them.
-        (SHORT_WIDE_CHORD_PLAN, [41]),
-    ],
-    ids=["scale", "spread", "short-wide-chord"],
-)
-def test_render_parts_share_no_frequency(plan, sizes):
-    plan = RenderPlan.from_dict(plan)
-    events = [
-        (round(audio.SAMPLE_RATE * event.duration), i, event.duration,
-         tuple(audio.note_frequency(plan.system, *note) for note in event.notes))
-        for i, event in enumerate(plan.events) if event.notes
-    ]
-    parts = audio._parts(events)
-    assert sorted(event for part in parts for event in part) == sorted(events)
-    frequencies = [{f for event in part for f in event[3]} for part in parts]
-    assert [len(part) for part in frequencies] == sizes
-    # No two parts share a frequency.
-    assert sum(sizes) == len(set().union(*frequencies))
-    for part in parts:
-        assert [event[0] for event in part] == sorted((event[0] for event in part), reverse=True)
 
 
 # Rests only, and notes that end in a rest: no render thread writes a rest,
