@@ -77,8 +77,9 @@ class ToneSpec:
 
 @value_type
 class SampleBuffer:
-    """Immutable mono samples at a fixed rate in Hz. write_wav clips them
-    to [-32768, 32767] / 32767, the range read_wav gives back."""
+    """Immutable mono samples at a fixed rate in Hz; a writeable array is
+    copied. write_wav clips them to [-32768, 32767] / 32767, the range
+    read_wav gives back."""
 
     samples: np.ndarray
     sample_rate: int = SAMPLE_RATE
@@ -96,6 +97,9 @@ class SampleBuffer:
         import numpy as np
 
         samples = np.asarray(self.samples, dtype=np.float64)
+        if samples.flags.writeable:
+            # It may still be the caller's: the buffer keeps its own copy.
+            samples = samples.copy()
         if samples.ndim != 1:
             raise ValueError(
                 f"samples must be one-dimensional, got shape {samples.shape}"
@@ -147,7 +151,9 @@ def pure_tone(spec: ToneSpec) -> SampleBuffer:
     """samples[i] = sin(2*pi*f*t_i) with t_i = i / SAMPLE_RATE."""
     _check_duration(spec.duration)
     _check_frequency(spec.frequency, "the tone")
-    return SampleBuffer(_event_samples(spec.duration, (spec.frequency,), None, 0.0))
+    samples = _event_samples(spec.duration, (spec.frequency,), None, 0.0)
+    samples.setflags(write=False)
+    return SampleBuffer(samples)
 
 
 @value_type
@@ -504,9 +510,10 @@ class _Mixer:
         cells = len(batch) * width
         mixed = self.chunk[:cells].reshape(-1, width)
         voices = self.work[:cells].reshape(-1, width)
-        g = gain
-        if gain is not None and self.envelope.release:
-            # Envelope.amplitudes' release, written over each event's row.
+        g = None
+        if gain is not None:
+            # Envelope.amplitudes' release, written over each event's row;
+            # step passes gain only when the envelope has a release.
             release, sustain = self.envelope.release, self.envelope.sustain_level
             durations = np.array([event[2] for event in batch])[:, None]
             # An own batch holds at most half a chunk, so this fits.
@@ -523,7 +530,7 @@ class _Mixer:
             voice = voices[:count]
             rows.take([index[event[3][k]] for event in batch[:count]], 0, voice)
             if g is not None:
-                np.multiply(voice, g if g.ndim == 1 else g[:count], out=voice)
+                np.multiply(voice, g[:count], out=voice)
             # Times 1.0 is exact, so a batch of one-voice events skips it.
             if len(batch[0][3]) > 1:
                 np.multiply(voice, weights[:count], out=voice)
@@ -627,6 +634,7 @@ def render(plan: RenderPlan) -> SampleBuffer:
             samples[frame : frame + stop - first] = chunk[first:stop]
 
     _synthesise(plan, finish)
+    samples.setflags(write=False)
     return SampleBuffer(samples)
 
 
@@ -745,4 +753,5 @@ def read_wav(path) -> SampleBuffer:
         rate = handle.getframerate()
         raw = handle.readframes(handle.getnframes())
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
+    samples.setflags(write=False)
     return SampleBuffer(samples, rate)

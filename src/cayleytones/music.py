@@ -178,40 +178,34 @@ def chord_from_steps(system: MusicalSystem, root: int, steps) -> Chord:
     return Chord(system, root, _classify_quality(system, steps), steps, tuple(notes))
 
 
+def _alternating_steps(
+    system: MusicalSystem, quality: str, count: Optional[int] = None
+) -> tuple[int, ...]:
+    """count steps alternating p, q (major) or q, p (minor).
+
+    count defaults to the most whose sum stays within n: a, b steps
+    repeated n // (a + b) times, and one a more if the rest holds it.
+    """
+    if quality == MAJOR:
+        a, b = system.p, system.q
+    elif quality == MINOR:
+        a, b = system.q, system.p
+    else:
+        raise ValueError(f"quality must be {MAJOR!r} or {MINOR!r}, got {quality!r}")
+    if count is None:
+        count = 2 * (system.n // (a + b)) + (system.n % (a + b) >= a)
+    return tuple(b if i % 2 else a for i in range(count))
+
+
 def triad(system: MusicalSystem, root: int, quality: str) -> Chord:
     """Major: root -> root+p -> root+p+q. Minor: root -> root+q -> root+q+p."""
-    if quality == MAJOR:
-        return chord_from_steps(system, root, (system.p, system.q))
-    if quality == MINOR:
-        return chord_from_steps(system, root, (system.q, system.p))
-    raise ValueError(f"quality must be {MAJOR!r} or {MINOR!r}, got {quality!r}")
-
-
-def _alternating_steps(system: MusicalSystem, quality: str, count: int) -> tuple[int, ...]:
-    first, second = (system.p, system.q) if quality == MAJOR else (system.q, system.p)
-    return tuple(first if i % 2 == 0 else second for i in range(count))
-
-
-def _max_alternating_count(system: MusicalSystem, quality: str) -> int:
-    """Steps the strictly alternating chord fits with total <= n."""
-    first, second = (system.p, system.q) if quality == MAJOR else (system.q, system.p)
-    total = 0
-    count = 0
-    while True:
-        nxt = first if count % 2 == 0 else second
-        if total + nxt > system.n:
-            return count
-        total += nxt
-        count += 1
+    return chord_from_steps(system, root, _alternating_steps(system, quality, 2))
 
 
 def largest_chord_within_octave(system: MusicalSystem, root: int, quality: str) -> Chord:
     """Extend the triad by strictly alternating steps while the step sum
     stays within one octave (at most n)."""
-    if quality not in (MAJOR, MINOR):
-        raise ValueError(f"quality must be {MAJOR!r} or {MINOR!r}, got {quality!r}")
-    count = _max_alternating_count(system, quality)
-    return chord_from_steps(system, root, _alternating_steps(system, quality, count))
+    return chord_from_steps(system, root, _alternating_steps(system, quality))
 
 
 @value_type
@@ -280,58 +274,28 @@ class Scale:
         }
 
 
-def _leg_offsets(width: int, pattern: str) -> list[int]:
-    """Offsets of inserted notes inside one leg of the given width.
-
-    'trailing' puts the single 1-step last ('2..21'), 'leading' first
-    ('12..2'); even widths take 2-steps only.
-    """
-    if width % 2 == 0:
-        return list(range(2, width, 2))
-    if pattern == "leading":
-        return [1] + list(range(3, width, 2))
-    return list(range(2, width, 2))
-
-
-def _scale_backbone(system: MusicalSystem, root: int, quality: str) -> Chord:
-    """Backbone chord for a scale.
-
-    Major and minor scales pair up with equal note counts, so the minor
-    backbone reuses the major's step count with the step order swapped.
-    """
-    count = _max_alternating_count(system, MAJOR)
-    return chord_from_steps(system, root, _alternating_steps(system, quality, count))
-
-
 def scale(system: MusicalSystem, root: int, quality: str) -> Scale:
     """Fill the backbone chord's legs with 1/2-steps and close at the root.
 
-    Even legs take 2-steps only. Odd p-legs end with the 1-step. Odd
-    q-legs end with the 1-step, except that minor scales with even p
-    alternate it to the front on every second q-leg, and the classic
-    (p,q)=(4,3) major scale leads with it. The closing leg back to the
-    root is never filled.
+    The backbone alternates the quality's steps as often as the largest
+    major chord does, so that major and minor scales pair up on backbones
+    of equal note count. Its legs take 2-steps, with the one 1-step of an
+    odd leg last, except that the classic (p,q)=(4,3) major scale leads
+    with it on every q-leg, and minor scales with even p on every second
+    q-leg. The closing leg back to the root is never filled.
     """
-    if quality not in (MAJOR, MINOR):
-        raise ValueError(f"quality must be {MAJOR!r} or {MINOR!r}, got {quality!r}")
-    backbone = _scale_backbone(system, root, quality)
+    count = len(_alternating_steps(system, MAJOR))
+    backbone = chord_from_steps(system, root, _alternating_steps(system, quality, count))
     p, q, n = system.p, system.q, system.n
     classic_major = quality == MAJOR and (p, q) == (4, 3)
     notes = [backbone.notes[0]]
-    q_legs_seen = 0
-    for start, width in zip(backbone.notes, backbone.steps):
-        if width == q and width % 2 == 1:
-            if quality == MINOR and p % 2 == 0:
-                pattern = "trailing" if q_legs_seen % 2 == 0 else "leading"
-            elif classic_major:
-                pattern = "leading"
-            else:
-                pattern = "trailing"
-            q_legs_seen += 1
-        else:
-            pattern = "trailing"
-        for offset in _leg_offsets(width, pattern):
-            notes.append((start + offset) % n)
+    for i, (start, width) in enumerate(zip(backbone.notes, backbone.steps)):
+        # A leading leg is odd: q is 3, or coprime to an even p. A minor
+        # backbone's q-legs are its steps 0, 2, 4, ...
+        leading = width == q and (
+            classic_major or (quality == MINOR and p % 2 == 0 and i % 4 == 2)
+        )
+        notes.extend((start + k) % n for k in range(1 if leading else 2, width, 2))
         notes.append((start + width) % n)
     notes.append(backbone.notes[0])
     return Scale(system, backbone.notes[0], quality, tuple(notes), backbone)

@@ -411,6 +411,17 @@ def test_sample_buffer_refuses_samples_that_are_not_one_dimensional(samples, mes
     assert str(info.value) == message
 
 
+def test_sample_buffer_copies_an_array_its_caller_can_still_write():
+    samples = np.zeros(3)
+    buffer = SampleBuffer(samples)
+    samples[0] = 1.0
+    assert samples[0] == 1.0
+    assert buffer == SampleBuffer(np.zeros(3))
+    # A read-only array is taken as it is.
+    samples.setflags(write=False)
+    assert SampleBuffer(samples).samples is samples
+
+
 def test_sample_buffer_takes_a_numpy_integer_rate(tmp_path):
     path = tmp_path / "numpy-rate.wav"
     buffer = SampleBuffer(np.zeros(2), np.int64(8000))

@@ -1,5 +1,6 @@
 """Systems, chords, scales, circles, and the interval reference table."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -196,6 +197,33 @@ def test_scale_steps_are_one_or_two_until_the_close(system, quality, want):
     # backbone notes appear in the scale, in order
     positions = [got.notes.index(x) for x in got.backbone.notes[:-1]]
     assert positions == sorted(positions)
+
+
+def test_chords_and_scales_of_every_system_up_to_1024():
+    """The largest chord alternates and fills the octave as far as one more
+    step allows; both scales step by 1 or 2 and pass through their
+    backbone's notes in order, and their backbones match in length (the
+    scales need not: Z_15's major has 10 notes, its minor 9)."""
+    systems = [
+        MusicalSystem(p * q, p, q)
+        for p in range(3, 513)
+        for q in range(2, min(p, 1024 // p + 1))
+        if math.gcd(p, q) == 1
+    ]
+    assert len(systems) == 1539
+    for system in systems:
+        n = system.n
+        for quality, (a, b) in ((MAJOR, (system.p, system.q)), (MINOR, (system.q, system.p))):
+            steps = largest_chord_within_octave(system, 0, quality).steps
+            assert steps == tuple(b if i % 2 else a for i in range(len(steps)))
+            assert sum(steps) <= n < sum(steps) + (b if len(steps) % 2 else a)
+        scales = [scale(system, 0, quality) for quality in (MAJOR, MINOR)]
+        assert len(scales[0].backbone.notes) == len(scales[1].backbone.notes)
+        for got in scales:
+            inner = got.notes[:-1]
+            assert {(y - x) % n for x, y in zip(inner, inner[1:])} <= {1, 2}
+            positions = [inner.index(x) for x in got.backbone.notes[:-1]]
+            assert positions == sorted(set(positions))
 
 
 def test_scale_rejects_unknown_quality():
