@@ -122,19 +122,21 @@ class SampleBuffer:
         return len(self.samples)
 
 
-def _check_duration(duration: float) -> None:
-    """Raise ValueError unless duration lasts at least one sample and at
-    most what a WAV file holds."""
+def _check_duration(duration: float) -> int:
+    """The samples duration lasts; ValueError unless that is at least one
+    and at most what a WAV file holds."""
     # Checked before rounding, which a product past the float range breaks.
     if not SAMPLE_RATE * duration <= _WAV_MAX_FRAMES:
         raise ValueError(
             f"a {duration} s event lasts more than the {_WAV_MAX_FRAMES} samples "
             "a WAV file holds"
         )
-    if round(SAMPLE_RATE * duration) == 0:
+    count = round(SAMPLE_RATE * duration)
+    if count == 0:
         raise ValueError(
             f"a {duration} s event is shorter than one sample at {SAMPLE_RATE} Hz"
         )
+    return count
 
 
 def _check_frequency(frequency: float, what: str) -> None:
@@ -185,20 +187,19 @@ class Envelope:
                 f"but the note lasts {duration}s"
             )
 
-    def amplitudes(self, t: np.ndarray, duration: Optional[float] = None) -> np.ndarray:
-        """The gain at each time in t of a note of this duration; with no
-        duration, of a note that has not ended, so without the release.
+    def amplitudes(self, t: np.ndarray, duration=None) -> np.ndarray:
+        """The gain at each time in t of a note of this duration, or a row of
+        them for each of a column of durations; with no duration, of a note
+        that has not ended, so without the release.
 
-        t must be non-decreasing, as every time axis here is, so that each
-        segment is one slice of it; a t that is not is refused with
+        t must be non-decreasing, as every time axis here is, so that the
+        attack and decay are slices of it; a t that is not is refused with
         ValueError. Attack, decay and release are written in that order, a
         later segment over an earlier one where they meet. Each gain
         depends only on its own time, the envelope and the duration.
         """
         import numpy as np
 
-        if duration is not None:
-            self.check_fits(duration)
         if not (t[1:] >= t[:-1]).all():
             raise ValueError("envelope times must be non-decreasing")
         a, d = np.searchsorted(t, (self.attack, self.attack + self.decay))
@@ -209,10 +210,17 @@ class Envelope:
             g[a:d] = (
                 1.0 - (1.0 - self.sustain_level) * (t[a:d] - self.attack) / self.decay
             )
-        if duration is not None and self.release > 0:
-            r = np.searchsorted(t, duration - self.release)
-            g[r:] = self.sustain_level * (duration - t[r:]) / self.release
-        return g
+        if duration is None:
+            return g
+        self.check_fits(np.min(duration))
+        rows = np.subtract(duration, t)
+        if self.release > 0:
+            np.multiply(self.sustain_level, rows, out=rows)
+            np.divide(rows, self.release, out=rows)
+            np.copyto(rows, g, where=t < np.subtract(duration, self.release))
+        else:
+            np.copyto(rows, g)
+        return rows
 
 
 def _voices(
@@ -279,6 +287,8 @@ class RenderPlan:
     Nyquist frequency SAMPLE_RATE / 2, where it would alias, and keeps its
     phases finite at the modulation depth, and the envelope fits inside
     every sounding event. Last, the whole plan must fit in one WAV file.
+    The checks keep the plan's frame count and, for rendering, a (samples,
+    first frame, duration, frequencies) record of each event with notes.
     """
 
     system: MusicalSystem
@@ -293,8 +303,10 @@ class RenderPlan:
             )
         if not self.events:
             raise ValueError("a render plan needs at least one event")
+        sounding, frames = [], 0
         for event in self.events:
-            _check_duration(event.duration)
+            count = _check_duration(event.duration)
+            frequencies = []
             for note, octave in event.notes:
                 # note_frequency climbs one step per index and per octave, so
                 # both are bounded before its frequency is computed.
@@ -315,27 +327,32 @@ class RenderPlan:
                         f"note {note} at octave {octave} with modulation_depth "
                         f"{self.modulation_depth} has a phase past the float range"
                     )
-            if event.notes and self.envelope is not None:
-                self.envelope.check_fits(event.duration)
-        frames = self.frames()
+                frequencies.append(spec.frequency)
+            if frequencies:
+                if self.envelope is not None:
+                    self.envelope.check_fits(event.duration)
+                sounding.append((count, frames, event.duration, tuple(frequencies)))
+            frames += count
         if frames > _WAV_MAX_FRAMES:
             raise ValueError(
                 f"the plan lasts {frames} samples; "
                 f"a WAV file holds at most {_WAV_MAX_FRAMES}"
             )
+        object.__setattr__(self, "_sounding", tuple(sounding))
+        object.__setattr__(self, "_frames", frames)
 
     def frames(self) -> int:
         """The samples of the whole plan."""
-        return sum(round(SAMPLE_RATE * event.duration) for event in self.events)
+        return self._frames
 
     @classmethod
     def from_dict(cls, data: dict) -> "RenderPlan":
         """The plan in a plan file's JSON object; a key it does not read, in
         any object, is refused rather than ignored."""
         _object(
-            data, "a render plan", "system", "events", "envelope", "modulation_depth"
+            data, "a render plan", ("system", "events"), "envelope", "modulation_depth"
         )
-        sysdata = _object(data["system"], "system", "p", "q", "n", "s", "f0")
+        sysdata = _object(data["system"], "system", ("p", "q"), "n", "s", "f0")
         p, q = _integer(sysdata["p"], "p"), _integer(sysdata["q"], "q")
         system = validate_system(
             _integer(sysdata.get("n", p * q), "n"),
@@ -346,11 +363,11 @@ class RenderPlan:
         )
         events = []
         for entry in _expect(data["events"], list, "events"):
-            kind = _object(entry, "an event", "kind", "duration", "notes")["kind"]
+            kind = _object(entry, "an event", ("kind", "duration"), "notes")["kind"]
             notes = []
             for item in _expect(entry.get("notes", []), list, "notes"):
                 if isinstance(item, dict):
-                    _object(item, "a note", "note", "octave")
+                    _object(item, "a note", ("note",), "octave")
                     note, octave = item["note"], item.get("octave", 0)
                 else:
                     note, octave = item, 0
@@ -373,11 +390,15 @@ def _expect(value, kind: type, what: str):
     return value
 
 
-def _object(value, what: str, *keys: str) -> dict:
-    """value itself if it is a JSON object with no key but keys."""
+def _object(value, what: str, required: tuple, *optional: str) -> dict:
+    """value itself if it is a JSON object with every key of required and no
+    key but those and optional."""
     for key in _expect(value, dict, what):
-        if key not in keys:
+        if key not in required and key not in optional:
             raise ValueError(f"unknown key {key!r} in {what}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"missing field {key!r} in {what}")
     return value
 
 
@@ -406,7 +427,7 @@ def envelope_from_dict(data: Optional[dict]) -> Optional[Envelope]:
     if data is None:
         return None
     # Every Envelope field has a default, so these are all of them, in order.
-    _object(data, "envelope", *Envelope._field_defaults)
+    _object(data, "envelope", (), *Envelope._field_defaults)
     return Envelope(
         *(
             _real(data.get(name, default), name)
@@ -449,14 +470,6 @@ def _event_samples(
     return mixed
 
 
-def _voice_batches(events: list[tuple], size: int) -> Iterator[list[tuple]]:
-    """The events, most voices first, in batches of at most size: the
-    events that sound a k-th voice are a prefix of each batch."""
-    events = sorted(events, key=lambda event: -len(event[3]))
-    for first in range(0, len(events), size):
-        yield events[first : first + size]
-
-
 class _Mixer:
     """One render thread: its voice table, and the chunk it mixes each batch
     into before it passes the batch to finish."""
@@ -470,13 +483,12 @@ class _Mixer:
         self.chunk = np.zeros(CHUNK)
 
     def step(self, start: int, width: int, events: list[tuple], index: dict) -> None:
-        """Mix samples start to start + width of each of the events, whose
-        frequencies have the rows index of the table."""
+        """Mix samples start to start + width of each of the events, most
+        voices first, whose frequencies have the rows index of the table."""
         import numpy as np
 
         # start + k is exact, so this is the event's arange / rate.
         t = np.arange(start, start + width, dtype=np.float64) / SAMPLE_RATE
-        gain = None if self.envelope is None else self.envelope.amplitudes(t)
         cells = len(index) * width
         # Wider than the table only at width 1, for a step that sounds more
         # than ROWS * BLOCK frequencies.
@@ -484,44 +496,32 @@ class _Mixer:
         rows = table[:cells].reshape(-1, width)
         _voices(rows, t, tuple(index), self.modulation_depth)
         # Events whose release has begun are mixed first, each with its own
-        # gain; then the table is multiplied by the gain once for the others.
-        release = 0.0 if gain is None else self.envelope.release
-        own, shared = [], []
+        # gains; then the table is multiplied by the gain once for the others.
+        envelope, own, shared = self.envelope, [], []
+        release = 0.0 if envelope is None else envelope.release
         for event in events:
-            late = release and t[-1] >= event[2] - release
-            (own if late else shared).append(event)
-        for batch in _voice_batches(own, max(CHUNK // width // 2, 1)):
-            self.mix(batch, start, t, rows, index, gain)
-        if gain is not None and shared:
-            np.multiply(rows, gain, out=rows)
-        for batch in _voice_batches(shared, CHUNK // width):
-            self.mix(batch, start, t, rows, index)
+            (own if release and t[-1] >= event[2] - release else shared).append(event)
+        size = CHUNK // width
+        for first in range(0, len(own), size):
+            batch = own[first : first + size]
+            durations = np.array([event[2] for event in batch])[:, None]
+            self.mix(batch, start, t, rows, index, envelope.amplitudes(t, durations))
+        if envelope is not None and shared:
+            np.multiply(rows, envelope.amplitudes(t), out=rows)
+        for first in range(0, len(shared), size):
+            self.mix(shared[first : first + size], start, t, rows, index)
 
-    def mix(self, batch: list[tuple], start: int, t, rows, index, gain=None) -> None:
-        """Mix the batch's events into the chunk, each as one row len(t) wide
-        whatever its length: their k-th voices together, taken from rows, by
-        the steps of _event_samples. Each voice is multiplied by gain, with
-        its event's release written over it, or by nothing where the table
-        holds it. Then pass the rows to finish, each cut to its event's
-        length."""
+    def mix(self, batch: list[tuple], start: int, t, rows, index, gains=None) -> None:
+        """Mix the batch's events, most voices first, into the chunk, each as
+        one row len(t) wide: their k-th voices together, taken from rows, by
+        the steps of _event_samples, times each event's gains unless the
+        table holds them. Then pass the rows, cut to length, to finish."""
         import numpy as np
 
         width = len(t)
         cells = len(batch) * width
         mixed = self.chunk[:cells].reshape(-1, width)
         voices = self.work[:cells].reshape(-1, width)
-        g = None
-        if gain is not None:
-            # Envelope.amplitudes' release, written over each event's row;
-            # step passes gain only when the envelope has a release.
-            release, sustain = self.envelope.release, self.envelope.sustain_level
-            durations = np.array([event[2] for event in batch])[:, None]
-            # An own batch holds at most half a chunk, so this fits.
-            g = self.work[cells : 2 * cells].reshape(-1, width)
-            np.subtract(durations, t, out=g)
-            np.multiply(sustain, g, out=g)
-            np.divide(g, release, out=g)
-            np.copyto(g, gain, where=t < durations - release)
         weights = np.array([1.0 / len(event[3]) for event in batch])[:, None]
         count = len(batch)
         for k in range(len(batch[0][3])):
@@ -529,8 +529,8 @@ class _Mixer:
                 count -= 1
             voice = voices[:count]
             rows.take([index[event[3][k]] for event in batch[:count]], 0, voice)
-            if g is not None:
-                np.multiply(voice, g[:count], out=voice)
+            if gains is not None:
+                np.multiply(voice, gains[:count], out=voice)
             # Times 1.0 is exact, so a batch of one-voice events skips it.
             if len(batch[0][3]) > 1:
                 np.multiply(voice, weights[:count], out=voice)
@@ -572,27 +572,19 @@ def _synthesise(plan: RenderPlan, finish: Callable) -> None:
     from concurrent.futures import ThreadPoolExecutor
     from threading import Lock
 
-    events, frame = [], 0
-    for event in plan.events:
-        count = round(SAMPLE_RATE * event.duration)
-        if event.notes:
-            notes = tuple(note_frequency(plan.system, *note) for note in event.notes)
-            events.append((count, frame, event.duration, notes))
-        frame += count
-    if not events:
-        return
-    # Longest first, so the events still sounding at a step are a prefix.
-    events.sort(key=lambda event: -event[0])
+    # Most voices first, once, so that in every step and batch the events
+    # that sound a k-th voice are a prefix.
+    events = sorted(plan._sounding, key=lambda event: -len(event[3]))
+    longest = max((event[0] for event in events), default=0)
 
     def make_steps() -> Iterator[tuple]:
-        start = 0
-        while start < events[0][0]:
-            while events[-1][0] <= start:
-                events.pop()
-            frequencies = dict.fromkeys(f for event in events for f in event[3])
+        start, sounding = 0, events
+        while start < longest:
+            sounding = [event for event in sounding if event[0] > start]
+            frequencies = dict.fromkeys(f for event in sounding for f in event[3])
             index = {f: row for row, f in enumerate(frequencies)}
-            width = min(BLOCK, events[0][0] - start, max(ROWS * BLOCK // len(index), 1))
-            yield start, width, list(events), index
+            width = min(BLOCK, longest - start, max(ROWS * BLOCK // len(index), 1))
+            yield start, width, sounding, index
             start += width
 
     steps, lock = make_steps(), Lock()

@@ -395,9 +395,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except KeyError as exc:
-        print(f"error: missing field {exc} in input", file=sys.stderr)
-        return 2
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -175,11 +175,23 @@ def _envelope_blocks(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_envelope_blocks())
-def test_envelope_equals_the_mask_formula_bit_for_bit(block):
+@given(_envelope_blocks(), st.lists(st.floats(0.0, 1.0), max_size=3))
+def test_envelope_equals_the_mask_formula_bit_for_bit(block, longer):
     envelope, duration, t = block
     g = envelope.amplitudes(t, duration)
     assert g.tobytes() == _amplitudes_by_masks(envelope, t, duration).tobytes()
+    # A column of durations the envelope fits, as a render step's release
+    # batch passes it: one row each, that of the duration alone.
+    span = envelope.attack + envelope.decay + envelope.release
+    durations = [duration, span, *(span + x for x in longer)]
+    rows = envelope.amplitudes(t, np.array(durations)[:, None])
+    assert rows.shape == (len(durations), len(t))
+    for row, one in zip(rows, durations):
+        assert row.tobytes() == envelope.amplitudes(t, one).tobytes()
+    if span > 0:
+        durations.append(np.nextafter(span, 0.0))
+        with pytest.raises(InvalidEnvelopeError):
+            envelope.amplitudes(t, np.array(durations)[:, None])
 
 
 @pytest.mark.parametrize("t", [[0.0, 0.2, 0.1], [0.0, NAN, 0.1], [NAN, NAN]])

@@ -803,6 +803,43 @@ def test_render_refuses_a_key_the_plan_format_does_not_have(
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "plan, message",
+    [
+        ({"events": _note_plan()["events"]}, "'system' in a render plan"),
+        ({"system": {"p": 4, "q": 3}}, "'events' in a render plan"),
+        (_note_plan(system={"q": 3}), "'p' in system"),
+        (_note_plan(system={"p": 4}), "'q' in system"),
+        (_note_plan(events=[{"duration": 0.3, "notes": [0]}]), "'kind' in an event"),
+        (_note_plan(events=[{"kind": "note", "notes": [0]}]), "'duration' in an event"),
+        (
+            _note_plan(events=[{"kind": "note", "duration": 0.3, "notes": [{"octave": 1}]}]),
+            "'note' in a note",
+        ),
+    ],
+    ids=["plan-system", "plan-events", "system-p", "system-q", "event-kind",
+         "event-duration", "note"],
+)
+def test_render_names_a_missing_field_and_its_object(capsys, tmp_path, plan, message):
+    code, out, err, out_path = _render_cli(capsys, tmp_path, plan)
+    assert (code, out, err) == (2, "", f"error: missing field {message}\n")
+    assert not out_path.exists()
+
+
+def test_a_key_error_made_while_rendering_is_an_internal_error(
+    capsys, tmp_path, monkeypatch
+):
+    # Only the plan's own checks speak of missing fields: a KeyError from
+    # the renderer is a fault of the program, not of its input.
+    def failing(out, t, frequencies, depth):
+        raise KeyError(frequencies[0])
+
+    monkeypatch.setattr(audio, "_voices", failing)
+    code, out, err, out_path = _render_cli(capsys, tmp_path, _note_plan())
+    assert (code, out, err) == (1, "", "internal error: 440.0\n")
+    assert not out_path.exists()
+
+
 def test_render_into_missing_directory_is_one_line(tmp_path):
     # A subprocess, because the stray traceback this guards against came
     # from a destructor, past what capsys captures.
@@ -1363,6 +1400,19 @@ def test_render_makes_each_sample_of_a_frequency_once(monkeypatch, plan):
     for ranges in spans.values():
         ranges.sort()
         assert all(stop <= first for (_, stop), (first, _) in zip(ranges, ranges[1:]))
+
+
+def test_render_climbs_the_note_ladder_once_per_note(capsys, tmp_path, monkeypatch):
+    made, ladder = [], audio.note_frequency
+
+    def counted(system, k, octave_shift=0):
+        made.append((k, octave_shift))
+        return ladder(system, k, octave_shift)
+
+    monkeypatch.setattr(audio, "note_frequency", counted)
+    code, out, err, out_path = _render_cli(capsys, tmp_path, MULTI_BLOCK_PLAN)
+    assert (code, err) == (0, "")
+    assert made == [(2, 0), (0, 0), (4, 0), (7, 0), (11, -1), (9, 1)]
 
 
 # Rests only, and notes that end in a rest: no render thread writes a rest,
