@@ -5,6 +5,8 @@ generalized chords/scales/circles for n = p*q, exhaustive counterpoint
 dichotomy searches, and equal-temperament WAV rendering.
 """
 
+from types import ModuleType as _ModuleType
+
 from .audio import (
     SAMPLE_RATE,
     Envelope,
@@ -79,66 +81,9 @@ from .music import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineMap",
-    "AmbiguousRefinementError",
-    "CayleyGraph",
-    "Chord",
-    "CircleOfFifths",
-    "ConsonantSeed",
-    "DYAD",
-    "Dichotomy",
-    "Envelope",
-    "GeneratorSet",
-    "GeneratorSetError",
-    "IntervalRow",
-    "InvalidChordError",
-    "InvalidEnvelopeError",
-    "MAJOR",
-    "MAX_MODULUS",
-    "MINOR",
-    "ModRing",
-    "MusicalSystem",
-    "NoStrongDichotomyError",
-    "PartitionRecord",
-    "RenderEvent",
-    "RenderPlan",
-    "SAMPLE_RATE",
-    "SampleBuffer",
-    "Scale",
-    "SearchReport",
-    "SystemValidationError",
-    "ToneSpec",
-    "UnreachableVertexError",
-    "chord_catalog",
-    "chord_from_steps",
-    "circle_of_fifths",
-    "enumerate_weak_witnesses",
-    "envelope_from_dict",
-    "export_dot",
-    "extend_to_partitions",
-    "find_affine_for_partition",
-    "fixed_points",
-    "fux_dichotomy",
-    "interval_table",
-    "is_involution",
-    "is_isometry_bruteforce",
-    "is_isometry_by_generators",
-    "largest_chord_within_octave",
-    "maximal_consonant_extension",
-    "minimal_oriented_refinement",
-    "note_frequency",
-    "pure_tone",
-    "read_wav",
-    "render",
-    "satisfies_strong",
-    "satisfies_weak",
-    "scale",
-    "strong_search_report",
-    "sumset",
-    "system_from_factors",
-    "triad",
-    "units",
-    "validate_system",
-    "write_wav",
-]
+# The public names are the ones imported above; the submodules those imports
+# bind on the package are not among them.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

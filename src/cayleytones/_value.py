@@ -15,43 +15,33 @@ _set = object.__setattr__
 def value_type(cls: type) -> type:
     """Make cls an immutable record of the fields annotated in its body.
 
-    The fields are the class's own annotations, in order; a class attribute
-    of the same name is that field's default. Installs __init__ (arguments by
-    position or keyword, then __post_init__ if the class has one, which may
-    normalise a field with object.__setattr__), __eq__ and __hash__ over the
-    tuple of fields (equal only to an instance of the same class), __repr__
-    as Name(field=value, ...), and __setattr__ and __delattr__ that raise
+    The fields are the class's own annotations, in order, at least one
+    (TypeError otherwise); a class attribute of the same name is that
+    field's default. Installs __init__ (arguments by position or keyword,
+    then __post_init__ if the class has one, which may normalise a field
+    with object.__setattr__), __eq__ and __hash__ over the tuple of fields
+    (equal only to an instance of the same class), __repr__ as
+    Name(field=value, ...), and __setattr__ and __delattr__ that raise
     AttributeError. A class that defines its own __eq__ or __repr__ keeps
     it; one with its own __eq__ also keeps the __hash__ Python sets for it,
     None (unhashable) unless the class defines __hash__ too. The defaults,
     by field name in field order, are kept in _field_defaults.
     """
     names = tuple(cls.__dict__.get("__annotations__", {}))
-    if not 1 <= len(names) <= 6:
-        raise TypeError(f"{cls.__qualname__} must annotate one to six fields")
+    if not names:
+        raise TypeError(f"{cls.__qualname__} must annotate at least one field")
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     count, post_init = len(names), hasattr(cls, "__post_init__")
     get = attrgetter(*names)
     key = get if count > 1 else lambda self: (get(self),)
-    n0, n1, n2, n3, n4, n5 = names + (None,) * (6 - count)
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != count:
             args = _bind(cls.__qualname__, names, defaults, args, kwargs)
-        # Unrolled: a loop over the fields made a bare construction half as
-        # slow again. Setting each field, unlike filling self.__dict__ at
-        # once, keeps attribute reads as fast as they were.
-        _set(self, n0, args[0])
-        if count > 1:
-            _set(self, n1, args[1])
-        if count > 2:
-            _set(self, n2, args[2])
-        if count > 3:
-            _set(self, n3, args[3])
-            if count > 4:
-                _set(self, n4, args[4])
-            if count > 5:
-                _set(self, n5, args[5])
+        # Setting each field, unlike filling self.__dict__ at once, keeps
+        # attribute reads as fast as they were.
+        for name, value in zip(names, args):
+            _set(self, name, value)
         if post_init:
             self.__post_init__()
 

@@ -631,16 +631,18 @@ def render(plan: RenderPlan) -> SampleBuffer:
 
 
 def _quantize(samples: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Round half away from zero to int16, clamping to the valid range.
+    """The int16 samples of a WAV file: each sample rounded half away from
+    zero, clamped to the valid range, or ValueError if one is not finite.
 
     Works in place on one scaled copy, or on out (which may be samples
     itself): floor(|x| * 32767 + 0.5), then negated where x has its sign
-    bit set (so -0.0 stays -0.0 and quantizes to 0). x is finite: _pcm
-    checks that first. Each step is a plain ufunc, which releases the GIL
-    to the other render threads.
+    bit set (so -0.0 stays -0.0 and quantizes to 0). Each step is a plain
+    ufunc, which releases the GIL to the other render threads.
     """
     import numpy as np
 
+    if not np.isfinite(samples).all():
+        raise ValueError("cannot write non-finite samples (NaN or inf) to a WAV file")
     negative = np.signbit(samples)
     scaled = np.abs(samples, out=out)
     scaled *= 32767.0
@@ -649,16 +651,6 @@ def _quantize(samples: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarr
     np.negative(scaled, out=scaled, where=negative)
     np.clip(scaled, -32768, 32767, out=scaled)
     return scaled.astype("<i2")
-
-
-def _pcm(samples: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The int16 samples of a WAV file (see _quantize, which is given out),
-    or ValueError if a sample is not finite."""
-    import numpy as np
-
-    if not np.isfinite(samples).all():
-        raise ValueError("cannot write non-finite samples (NaN or inf) to a WAV file")
-    return _quantize(samples, out)
 
 
 @contextmanager
@@ -707,12 +699,12 @@ def _wav_file(path, frames: int, sample_rate: int) -> Iterator[Callable]:
 
 def _render_wav(plan: RenderPlan, path) -> int:
     """Render the plan into a WAV file at path; return its frame count.
-    Each batch is checked and quantized (see _pcm) on the render thread
+    Each batch is checked and quantized (see _quantize) on the render thread
     that mixed it, and its pieces written there."""
 
     def finish(chunk: np.ndarray, pieces: list[tuple]) -> None:
         # The chunk is cleared once finished, so it is quantized in place.
-        pcm = _pcm(chunk, chunk)
+        pcm = _quantize(chunk, chunk)
         for frame, first, stop in pieces:
             put(frame, pcm[first:stop])
 
@@ -729,7 +721,7 @@ def write_wav(buffer: SampleBuffer, path) -> None:
     samples = buffer.samples
     with _wav_file(path, len(samples), buffer.sample_rate) as put:
         for i in range(0, len(samples), CHUNK):
-            put(i, _pcm(samples[i : i + CHUNK]))
+            put(i, _quantize(samples[i : i + CHUNK]))
 
 
 def read_wav(path) -> SampleBuffer:

@@ -155,26 +155,17 @@ def is_isometry_by_generators(f: AffineMap, S: GeneratorSet) -> bool:
 def export_dot(G: CayleyGraph) -> str:
     """DOT text with vertices 0..n-1 and edges labeled '+w'."""
     n = G.ring.n
-    lines = []
     if G.oriented:
-        lines.append("digraph cayley {")
-        for v in range(n):
-            lines.append(f"  {v};")
-        for v in range(n):
-            for w in G.steps:
-                lines.append(f'  {v} -> {(v + w) % n} [label="+{w}"];')
+        kind, arrow = "digraph", "->"
+        edges = ((v, w) for v in range(n) for w in G.steps)
     else:
-        lines.append("graph cayley {")
-        for v in range(n):
-            lines.append(f"  {v};")
-        for w in G.steps:
-            inverse = (n - w) % n
-            if w > inverse:
-                continue
-            for v in range(n):
-                u = (v + w) % n
-                if w == inverse and v > u:
-                    continue
-                lines.append(f'  {v} -- {u} [label="+{w}"];')
+        # Each undirected edge once: under its step w <= n - w, and at
+        # w = n/2 from its smaller end.
+        kind, arrow = "graph", "--"
+        edges = ((v, w) for w in G.steps if 2 * w <= n
+                 for v in range(n if 2 * w < n else n // 2))
+    lines = [f"{kind} cayley {{"]
+    lines += (f"  {v};" for v in range(n))
+    lines += (f'  {v} {arrow} {(v + w) % n} [label="+{w}"];' for v, w in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -83,7 +83,7 @@ def _cmd_graph(args: argparse.Namespace) -> None:
     system = _system(args)
     graph = CayleyGraph(system.generator_set, oriented=args.oriented)
     dot = export_dot(graph)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="ascii") as handle:
             handle.write(dot)
     else:

@@ -267,3 +267,45 @@ def test_dot_unoriented_lists_each_edge_once():
         pair = frozenset((int(left), int(right)))
         assert pair not in seen
         seen.add(pair)
+
+
+def _parent_export_dot(G):
+    """export_dot as it was written before its two branches were merged:
+    one loop per graph kind; kept as the reference for the bytes."""
+    n = G.ring.n
+    lines = []
+    if G.oriented:
+        lines.append("digraph cayley {")
+        for v in range(n):
+            lines.append(f"  {v};")
+        for v in range(n):
+            for w in G.steps:
+                lines.append(f'  {v} -> {(v + w) % n} [label="+{w}"];')
+    else:
+        lines.append("graph cayley {")
+        for v in range(n):
+            lines.append(f"  {v};")
+        for w in G.steps:
+            inverse = (n - w) % n
+            if w > inverse:
+                continue
+            for v in range(n):
+                u = (v + w) % n
+                if w == inverse and v > u:
+                    continue
+                lines.append(f'  {v} -- {u} [label="+{w}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("oriented", [True, False], ids=["oriented", "unoriented"])
+def test_dot_bytes_match_the_two_branch_writer(oriented):
+    checked = 0
+    for n in range(2, 21):
+        ring = ModRing(n)
+        for size in (1, 2, 3):
+            for steps in combinations(range(1, n), size):
+                G = CayleyGraph(GeneratorSet(ring, steps), oriented=oriented)
+                assert export_dot(G) == _parent_export_dot(G), (n, steps)
+                checked += 1
+    assert checked == 6175

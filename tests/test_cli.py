@@ -273,6 +273,12 @@ def test_graph_dot_output(capsys, tmp_path):
     assert path.read_text().startswith("digraph")
 
 
+def test_graph_to_an_empty_path_is_an_error_not_stdout(capsys):
+    code, out, err = run(capsys, "graph", "-p", "4", "-q", "3", "--out", "")
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 2] No such file or directory: ''\n"
+
+
 @pytest.mark.parametrize("flag", ["--json", "--pretty"])
 def test_graph_takes_no_output_flags(capsys, flag):
     code, out, err = run(capsys, "graph", "-p", "4", "-q", "3", flag)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cayleytones._value import value_type
 from cayleytones.audio import (
     Envelope,
     RenderEvent,
@@ -221,3 +222,38 @@ def test_repr_names_every_field_in_order(cls, names, args):
     obj = cls(*args)
     shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, _fields(obj, names)))
     assert repr(obj) == f"{cls.__name__}({shown})"
+
+
+def test_a_value_type_may_have_more_than_six_fields():
+    @value_type
+    class Seven:
+        a: int
+        b: int
+        c: int
+        d: int
+        e: int
+        f: int = 5
+        g: int = 6
+
+    names = "abcdefg"
+    values = tuple(range(7))
+    by_position = Seven(*values)
+    assert _fields(by_position, names) == values
+    assert Seven(**dict(zip(names, values))) == by_position
+    assert Seven(0, 1, 2, 3, 4) == by_position
+    assert Seven(0, 1, 2, 3, 4, g=9) != by_position
+    assert hash(Seven(*values)) == hash(by_position) == hash(values)
+    shown = "a=0, b=1, c=2, d=3, e=4, f=5, g=6"
+    assert repr(by_position) == f"{Seven.__qualname__}({shown})"
+    with pytest.raises(TypeError):
+        Seven(0, 1, 2, 3)
+    with pytest.raises(AttributeError):
+        by_position.g = 1
+
+
+def test_a_value_type_needs_an_annotated_field():
+    with pytest.raises(TypeError, match="Empty must annotate"):
+
+        @value_type
+        class Empty:
+            default = 1
