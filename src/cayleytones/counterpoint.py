@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import chain, product
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from ._value import value_type
 from .cayley import CayleyGraph, GeneratorSet, is_isometry_by_generators
@@ -190,8 +190,10 @@ def _image(T: AffineMap, X: Iterable[int]) -> frozenset[int]:
 def _involutive_isometries(S: GeneratorSet) -> list[AffineMap]:
     """Every map x -> hx+w with h^2 = 1, hS = S and (h+1)w = 0, by (h, w).
 
-    These are the involutive affine isometries of the step graph; every
-    search filters this one table.
+    On every system with n <= 40 it is every involutive isometry of the
+    step graph, affine or not, as tests/test_cayley.py checks in
+    test_every_automorphism_of_a_system_graph_is_affine. Every search
+    filters this one table.
     """
     ring, n = S.ring, S.ring.n
     return [
@@ -293,14 +295,6 @@ def _orbit_pairs(T: AffineMap, seed: frozenset[int]) -> list[tuple[int, int]]:
     return [(z, T(z)) for z in range(T.ring.n) if z not in taken and z < T(z)]
 
 
-def _choices(
-    seed: frozenset[int], pairs: list[tuple[int, int]]
-) -> Iterator[frozenset[int]]:
-    """The seed plus one element from each of the pairs."""
-    for picks in product(*pairs):
-        yield seed | frozenset(picks)
-
-
 def _pick_masks(seed: Iterable[int], pairs: list[tuple[int, int]], U=lambda z: z) -> list[int]:
     """Bit masks of U of the seed plus one element from each pair, in product order."""
     masks = [sum(1 << U(z) for z in seed)]
@@ -309,14 +303,46 @@ def _pick_masks(seed: Iterable[int], pairs: list[tuple[int, int]], U=lambda z: z
     return masks
 
 
+def _extensions(members: frozenset[int], T: AffineMap, pairs: list[tuple[int, int]],
+                witnesses: Iterable[AffineMap]) -> list[PartitionRecord]:
+    """The records of K = the seed plus one element per T-pair and D = T(K),
+    in product(*pairs) order, with K's strong witnesses among the weak
+    witnesses given (0 unless K halves Z_n).
+
+    A half K's strong witnesses U (U(K) = D) fix no residue, so each has as
+    many free pairs as T; and as |U(K)| = n/2, U(K) = D exactly when K and
+    U(K) are disjoint. So only those witnesses are tested, on bit masks.
+    """
+    # Row r of the counts is K = high[r] | low[c] for each c, in product(*pairs)
+    # order. With i, j the U-images of the parts, K misses U(K) when k & i,
+    # l & j and l & i are 0 (for an involution, k & j == 0 iff l & i == 0).
+    cut = len(pairs) // 2
+    high, low = _pick_masks(members, pairs[:cut]), _pick_masks((), pairs[cut:])
+    counts = [[0] * len(low) for _ in high]
+    for U in witnesses if 2 * (len(members) + len(pairs)) == T.ring.n else ():
+        if len(_orbit_pairs(U, members)) == len(pairs):
+            # A low part that meets its own image becomes -1, which meets any i.
+            lows = [-1 if l & j else l for l, j in zip(low, _pick_masks((), pairs[cut:], U))]
+            counts = [[m + (not l & i) for m, l in zip(row, lows)] if not k & i else row
+                      for row, k, i in zip(counts, high, _pick_masks(members, pairs[:cut], U))]
+    # D = T(K) is the seed's image plus the partner of each pick.
+    base, image, h, w = tuple(members), tuple(_image(T, members)), T.multiplier, T.offset
+    partners = product(*[(b, a) for a, b in pairs])
+    return [
+        PartitionRecord(tuple(sorted(base + picks)), tuple(sorted(image + others)), h, w, count)
+        for picks, others, count in zip(product(*pairs), partners, chain(*counts))
+    ]
+
+
 def extend_to_partitions(seed: ConsonantSeed) -> SearchReport:
     """Grow the seed to full half/half partitions under each weak witness.
 
     Every returned partition is re-verified by counting its strong
     witnesses among all weak witnesses rather than trusting the search;
-    a strong witness of K, which holds the seed, is always a weak one,
-    so an empty count is an error. A search that would enumerate more
-    than 2**22 subsets raises ValueError before it enumerates any.
+    a strong witness of K, which holds the seed, is always a weak one, so
+    an empty count, or a first witness or count other than the search's,
+    is an AssertionError. A search that would enumerate more than 2**22
+    subsets raises ValueError before it enumerates any.
     """
     n = seed.ring.n
     if n % 2 == 1:
@@ -333,30 +359,22 @@ def extend_to_partitions(seed: ConsonantSeed) -> SearchReport:
         pairs = _orbit_pairs(T, members)
         # Only a T that fixes no residue off the seed and its image reaches a half.
         if len(pairs) == needed:
-            reaching.append(pairs)
+            reaching.append((T, pairs))
             if len(reaching) * 2**needed > _MAX_SUBSETS:
                 raise ValueError(f"extend on Z_{n} would enumerate over {_MAX_SUBSETS} subsets")
-    # A dict used as a set: it keeps the halves in the order they are found,
-    # nearly the report's order, which keeps the recount and the sort cheap.
-    found = dict.fromkeys(K for pairs in reaching for K in _choices(members, pairs))
+    # K's strong witnesses are the reaching T that make it, so its first record names the first.
+    found = {}
+    for T, pairs in reaching:
+        for record in _extensions(members, T, pairs, weak_report.witnesses):
+            found.setdefault(record.consonant, record)
     universe = frozenset(range(n))
-    records = []
-    for K in found:
-        D = universe - K
-        strong = _strong_witnesses(weak_report.witnesses, K, D)
-        if not strong:
-            raise AssertionError(f"K={sorted(K)} has no strong witness")
-        best = strong[0]
-        records.append(
-            PartitionRecord(
-                tuple(sorted(K)),
-                tuple(sorted(D)),
-                best.multiplier,
-                best.offset,
-                len(strong),
-            )
-        )
-    records.sort(key=lambda r: (r.multiplier, r.offset, r.consonant))
+    for record in found.values():
+        K = frozenset(record.consonant)
+        strong = _strong_witnesses(weak_report.witnesses, K, universe - K)
+        recount = [(U.multiplier, U.offset, len(strong)) for U in strong[:1]]
+        if recount != [(record.multiplier, record.offset, record.strong_witness_count)]:
+            raise AssertionError(f"K={sorted(K)}: recount {recount} disagrees with {record}")
+    records = sorted(found.values(), key=lambda r: (r.multiplier, r.offset, r.consonant))
     notes = weak_report.notes + (
         f"half-partition extensions found: {len(records)}",
         f"extension subsets accepted across witnesses: {len(reaching) * 2**needed}",
@@ -379,10 +397,6 @@ def maximal_consonant_extension(
     T = None takes the first weak witness by (h, w). Fixed points of T can
     never join, so for odd n the consonances stop at (n-1)/2 elements.
     More than 2**22 sets raise ValueError before any is listed.
-
-    A half K's strong witnesses U (U(K) = D) fix no residue, so each has as
-    many free pairs as T; and as |U(K)| = n/2, U(K) = D exactly when K and
-    U(K) are disjoint. So only those witnesses are tested, on bit masks.
     """
     members = seed.members
     n = seed.ring.n
@@ -396,26 +410,7 @@ def maximal_consonant_extension(
     pairs = _orbit_pairs(T, members)
     if 2 ** len(pairs) > _MAX_SUBSETS:
         raise ValueError(f"{T} would give 2^{len(pairs)} maximal sets, over {_MAX_SUBSETS}")
-    # Row r of the counts is K = high[r] | low[c] for each c, in product(*pairs)
-    # order. With i, j the U-images of the parts, K misses U(K) when k & i,
-    # l & j and l & i are 0 (for an involution, k & j == 0 iff l & i == 0).
-    cut = len(pairs) // 2
-    high, low = _pick_masks(members, pairs[:cut]), _pick_masks((), pairs[cut:])
-    counts = [[0] * len(low) for _ in high]
-    for U in candidates if 2 * (len(members) + len(pairs)) == n else ():
-        if len(_orbit_pairs(U, members)) == len(pairs):
-            # A low part that meets its own image becomes -1, which meets any i.
-            lows = [-1 if l & j else l for l, j in zip(low, _pick_masks((), pairs[cut:], U))]
-            counts = [[m + (not l & i) for m, l in zip(row, lows)] if not k & i else row
-                      for row, k, i in zip(counts, high, _pick_masks(members, pairs[:cut], U))]
-    # D = T(K) is the seed's image plus the partner of each pick.
-    base, image, h, w = tuple(members), tuple(_image(T, members)), T.multiplier, T.offset
-    partners = product(*[(b, a) for a, b in pairs])
-    records = [
-        PartitionRecord(tuple(sorted(base + picks)), tuple(sorted(image + others)), h, w, count)
-        for picks, others, count in zip(product(*pairs), partners, chain(*counts))
-    ]
-    records.sort(key=lambda r: r.consonant)
+    records = sorted(_extensions(members, T, pairs, candidates), key=lambda r: r.consonant)
     notes = (
         f"seed consonances: {sorted(members)}",
         f"fixed points excluded from candidates: {sorted(fixed_points(T))}",

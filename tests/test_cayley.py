@@ -1,5 +1,6 @@
 """Graph construction, BFS metric, isometry criteria, DOT export."""
 
+import math
 from itertools import combinations
 
 import pytest
@@ -309,3 +310,73 @@ def test_dot_bytes_match_the_two_branch_writer(oriented):
                 assert export_dot(G) == _parent_export_dot(G), (n, steps)
                 checked += 1
     assert checked == 6175
+
+
+# Every valid musical system (coprime p > q > 1) with n = p*q <= 400.
+TORUS_SYSTEMS = [
+    (p, q) for q in range(2, 20) for p in range(q + 1, 201)
+    if p * q <= 400 and math.gcd(p, q) == 1
+]
+
+
+def test_the_metric_is_that_of_a_torus():
+    """Z_pq is Z_q x Z_p by x = a*p + b*q, with a = x/p mod q and b = x/q
+    mod p, and the step graph is the torus C_q x C_p: d(0, x) is
+    min(a, q-a) + min(b, p-b), and the oriented length from 0 is a + b."""
+    assert len(TORUS_SYSTEMS) == 486
+    for p, q in TORUS_SYSTEMS:
+        n = p * q
+        G = CayleyGraph(GeneratorSet(ModRing(n), (p, q)), oriented=True)
+        p_inv, q_inv = pow(p, -1, q), pow(q, -1, p)
+        for x in range(n):
+            a, b = x * p_inv % q, x * q_inv % p
+            assert (a * p + b * q) % n == x
+            assert G.distance(0, x) == min(a, q - a) + min(b, p - b), (p, q, x)
+            assert G.oriented_path_length(0, x) == a + b, (p, q, x)
+
+
+def _automorphisms_fixing_zero(n, steps):
+    """Count the bijections f of Z_n with f(0) = 0 that keep x ~ y exactly
+    when f(x) ~ f(y), where x ~ y when y - x is a step, by backtracking in
+    breadth-first order."""
+    neighbours = [{(x + s) % n for s in steps} for x in range(n)]
+    order, seen = [0], {0}
+    for x in order:
+        for y in sorted(neighbours[x] - seen):
+            seen.add(y)
+            order.append(y)
+    parent = {y: next(x for x in order if y in neighbours[x]) for y in order[1:]}
+
+    def extend(f, used, i):
+        if i == n:
+            return 1
+        y = order[i]
+        total = 0
+        for image in neighbours[f[parent[y]]] - used:
+            if all((z in neighbours[y]) == (f[z] in neighbours[image]) for z in order[:i]):
+                f[y] = image
+                total += extend(f, used | {image}, i + 1)
+                del f[y]
+        return total
+
+    return extend({0: 0}, {0}, 1)
+
+
+def test_every_automorphism_of_a_system_graph_is_affine():
+    """On all 22 valid systems with n <= 40, the automorphisms of the
+    unoriented graph that fix 0 are as many as the isometric multipliers
+    h (hS = S), 2 when q = 2 and 4 otherwise. So every automorphism, and
+    every isometry, is x -> hx + w."""
+    # The count sees maps that are not affine: K_4 and K_3,3 as Cayley graphs.
+    assert _automorphisms_fixing_zero(4, (1, 2, 3)) == 6
+    assert _automorphisms_fixing_zero(6, (1, 3, 5)) == 12
+    systems = [(p, q) for p, q in TORUS_SYSTEMS if p * q <= 40]
+    assert len(systems) == 22
+    for p, q in systems:
+        n, ring = p * q, ModRing(p * q)
+        S = _symmetric_set(n, p, q)
+        multipliers = [
+            h for h in units(ring) if is_isometry_by_generators(AffineMap(ring, h, 0), S)
+        ]
+        assert len(multipliers) == (2 if q == 2 else 4), (p, q)
+        assert _automorphisms_fixing_zero(n, S.elements) == len(multipliers), (p, q)

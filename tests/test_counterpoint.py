@@ -1,12 +1,14 @@
 """Dichotomy searches: weak/strong witnesses, extensions, refinement."""
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cayleytones import counterpoint
 from cayleytones.cayley import CayleyGraph, GeneratorSet, is_isometry_bruteforce
+from cayleytones.cli import main
 from cayleytones.counterpoint import (
     AmbiguousRefinementError,
     ConsonantSeed,
@@ -14,7 +16,6 @@ from cayleytones.counterpoint import (
     NoStrongDichotomyError,
     PartitionRecord,
     SearchReport,
-    _choices,
     _involutive_isometries,
     _orbit_pairs,
     enumerate_weak_witnesses,
@@ -298,27 +299,40 @@ def test_maximal_extension_is_every_largest_set_kept_off_its_image():
             ] == expected, (p, q, T)
 
 
-def test_a_half_is_strong_under_exactly_the_witnesses_that_produce_it():
+@pytest.fixture(scope="module")
+def extend_reports():
+    """extend_to_partitions for every even system with n <= 30 whose seed
+    fits in a half, by (p, q)."""
+    reports = {}
+    for p, q in SMALL_SYSTEMS:
+        system, seed, graph = _setup(p, q)
+        if system.n % 2 == 0 and 2 * len(seed.members) <= system.n:
+            reports[p, q] = extend_to_partitions(seed)
+    return reports
+
+
+def test_a_half_is_strong_under_exactly_the_witnesses_that_produce_it(extend_reports):
     """The recount of extend_to_partitions gives what its producers give.
 
     For every half K of the even systems with n <= 26 whose seed fits in a
     half, the strong witnesses of K, by (h, w), are the reaching weak
-    witnesses (those that fix no residue off the seed and its image) whose
-    choices hold K; K's record names the first of them and their count.
+    witnesses (those that fix no residue off the seed and its image) that
+    make K from the seed and one element of each of their pairs; K's record
+    names the first of them and their count.
     """
     halves = 0
-    for p, q in SMALL_SYSTEMS:
+    for p, q in extend_reports:
         system, seed, graph = _setup(p, q)
         n, members = system.n, seed.members
-        if n % 2 or n > 26 or 2 * len(members) > n:
+        if n > 26:
             continue
         producers = {}
         for T in enumerate_weak_witnesses(seed).witnesses:
             pairs = _orbit_pairs(T, members)
             if len(pairs) == n // 2 - len(members):
-                for K in _choices(members, pairs):
-                    producers.setdefault(K, []).append(T)
-        report = extend_to_partitions(seed)
+                for picks in product(*pairs):
+                    producers.setdefault(members.union(picks), []).append(T)
+        report = extend_reports[p, q]
         assert {frozenset(r.consonant) for r in report.partitions} == set(producers)
         for record in report.partitions:
             K, D = frozenset(record.consonant), frozenset(record.dissonant)
@@ -328,6 +342,48 @@ def test_a_half_is_strong_under_exactly_the_witnesses_that_produce_it():
             assert (first, record.strong_witness_count) == (made[0], len(made)), (n, K)
         halves += len(report.partitions)
     assert halves == 7968
+
+
+def test_extend_merges_the_maximal_sets_of_each_reaching_witness(extend_reports):
+    """On the public API alone: extend's halves are the first record of each
+    K over the --maximal reports of the reaching weak witnesses (those whose
+    sets halve Z_n), in (h, w) order, re-sorted by (h, w, K)."""
+    for p, q in extend_reports:
+        system, seed, graph = _setup(p, q)
+        n = system.n
+        first = {}
+        for T in enumerate_weak_witnesses(seed).witnesses:
+            report = maximal_consonant_extension(seed, T)
+            if 2 * len(report.partitions[0].consonant) == n:
+                for record in report.partitions:
+                    first.setdefault(record.consonant, record)
+        expected = sorted(first.values(), key=lambda r: (r.multiplier, r.offset, r.consonant))
+        assert extend_reports[p, q].partitions == tuple(expected), (p, q)
+    assert len(extend_reports) == 12
+
+
+def test_extend_raises_when_the_recount_disagrees_with_the_enumerator(capsys, monkeypatch):
+    """One count off by one in the shared enumerator is caught by extend's
+    recount: the library raises AssertionError and the CLI exits 1 with one
+    line."""
+    real = counterpoint._extensions
+
+    def off_by_one(*args):
+        records = real(*args)
+        r = records[-1]
+        records[-1] = PartitionRecord(
+            r.consonant, r.dissonant, r.multiplier, r.offset, r.strong_witness_count + 1
+        )
+        return records
+
+    monkeypatch.setattr(counterpoint, "_extensions", off_by_one)
+    with pytest.raises(AssertionError):
+        extend_to_partitions(SEED12)
+    capsys.readouterr()
+    code = main(["counterpoint", "search", "-p", "5", "-q", "4"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("internal error: ") and err.count("\n") == 1, err
 
 
 def test_the_involutive_isometries_have_two_or_four_multipliers():
