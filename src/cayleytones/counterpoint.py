@@ -338,11 +338,12 @@ def extend_to_partitions(seed: ConsonantSeed) -> SearchReport:
     """Grow the seed to full half/half partitions under each weak witness.
 
     Every returned partition is re-verified by counting its strong
-    witnesses among all weak witnesses rather than trusting the search;
-    a strong witness of K, which holds the seed, is always a weak one, so
-    an empty count, or a first witness or count other than the search's,
-    is an AssertionError. A search that would enumerate more than 2**22
-    subsets raises ValueError before it enumerates any.
+    witnesses among the weak witnesses that fix no residue, rather than
+    trusting the search. A strong witness of K, which holds the seed, is
+    weak and fixes no residue (T(z) = z would put z in both K and D, or in
+    neither), so an empty count, or a first witness or count other than the
+    search's, is an AssertionError. A search that would enumerate more than
+    2**22 subsets raises ValueError before it enumerates any.
     """
     n = seed.ring.n
     if n % 2 == 1:
@@ -368,9 +369,10 @@ def extend_to_partitions(seed: ConsonantSeed) -> SearchReport:
         for record in _extensions(members, T, pairs, weak_report.witnesses):
             found.setdefault(record.consonant, record)
     universe = frozenset(range(n))
+    free = [T for T in weak_report.witnesses if not fixed_points(T)]
     for record in found.values():
         K = frozenset(record.consonant)
-        strong = _strong_witnesses(weak_report.witnesses, K, universe - K)
+        strong = _strong_witnesses(free, K, universe - K)
         recount = [(U.multiplier, U.offset, len(strong)) for U in strong[:1]]
         if recount != [(record.multiplier, record.offset, record.strong_witness_count)]:
             raise AssertionError(f"K={sorted(K)}: recount {recount} disagrees with {record}")

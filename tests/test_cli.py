@@ -566,6 +566,9 @@ def test_intervals_json(capsys):
         (("-p", "7", "-q", "4"), "56354defeda22967ea8c9c98f31e9e82b96b6405a47e0ed624573fb681a89f46"),
         # 15,520 partitions
         (("-p", "6", "-q", "5"), "6401d794e8e76de907fac9a67a45a299f3f9aee657511071f40eec46d08067f2"),
+        # The other two even systems with n = 30, which the benchmark leaves out.
+        (("-p", "15", "-q", "2"), "d427ad602b8d4208e1a211b8e7ae0676f9b0c43d2f1e7020bbcb922df436aaa4"),
+        (("-p", "10", "-q", "3"), "7ead9273266a9198274dcfc3c6b9c23b9d99ff9f2bfd3e6cf4b5bff216dad1aa"),
         # --maximal on the six even systems n = 24..30, where halves carry
         # strong-witness counts (every count is 0 on Z_15 above).
         (

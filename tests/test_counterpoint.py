@@ -29,7 +29,7 @@ from cayleytones.counterpoint import (
     strong_search_report,
     sumset,
 )
-from cayleytones.modular import AffineMap, ModRing, is_involution, units
+from cayleytones.modular import AffineMap, ModRing, fixed_points, is_involution, units
 from cayleytones.music import system_from_factors
 
 RING12 = ModRing(12)
@@ -58,6 +58,12 @@ SMALL_SYSTEMS = [
 # The same with n <= 22, where every subset of Z_n holding the seed can be
 # listed in about a second.
 ORACLE_SYSTEMS = [(p, q) for p, q in SMALL_SYSTEMS if p * q <= 22]
+
+# Every valid musical system (coprime p > q > 1) with n = p*q <= 400.
+SYSTEMS_TO_400 = [
+    (p, q) for q in range(2, 20) for p in range(q + 1, 201)
+    if p * q <= 400 and math.gcd(p, q) == 1
+]
 
 
 def _keys(maps):
@@ -317,8 +323,9 @@ def test_a_half_is_strong_under_exactly_the_witnesses_that_produce_it(extend_rep
     For every half K of the even systems with n <= 26 whose seed fits in a
     half, the strong witnesses of K, by (h, w), are the reaching weak
     witnesses (those that fix no residue off the seed and its image) that
-    make K from the seed and one element of each of their pairs; K's record
-    names the first of them and their count.
+    make K from the seed and one element of each of their pairs; none of
+    them fixes a residue, and K's record names the first of them and their
+    count.
     """
     halves = 0
     for p, q in extend_reports:
@@ -338,6 +345,7 @@ def test_a_half_is_strong_under_exactly_the_witnesses_that_produce_it(extend_rep
             K, D = frozenset(record.consonant), frozenset(record.dissonant)
             made = producers[K]
             assert find_affine_for_partition(Dichotomy(system.ring, K, D), seed) == made
+            assert not any(fixed_points(U) for U in made), (n, K)
             first = AffineMap(system.ring, record.multiplier, record.offset)
             assert (first, record.strong_witness_count) == (made[0], len(made)), (n, K)
         halves += len(report.partitions)
@@ -384,6 +392,62 @@ def test_extend_raises_when_the_recount_disagrees_with_the_enumerator(capsys, mo
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")
     assert err.startswith("internal error: ") and err.count("\n") == 1, err
+
+
+def test_extend_raises_when_a_first_witness_has_a_fixed_point(monkeypatch):
+    """extend's recount runs over the weak witnesses that fix no residue
+    only; a record that names a weak witness with a fixed point as its
+    first witness is still an AssertionError."""
+    real = counterpoint._extensions
+    fixing = next(T for T in enumerate_weak_witnesses(SEED12).witnesses if fixed_points(T))
+
+    def names_a_fixing_map(*args):
+        records = real(*args)
+        r = records[-1]
+        records[-1] = PartitionRecord(
+            r.consonant, r.dissonant, fixing.multiplier, fixing.offset, r.strong_witness_count
+        )
+        return records
+
+    monkeypatch.setattr(counterpoint, "_extensions", names_a_fixing_map)
+    with pytest.raises(AssertionError):
+        extend_to_partitions(SEED12)
+
+
+def test_the_fixed_point_free_weak_witnesses_are_those_that_reach_a_half():
+    """A strong witness T of a half (T(K) = D) fixes no residue: T(z) = z
+    puts z in both K and D, or in neither. For every even system with
+    n <= 400 whose seed fits in a half, the weak witnesses that fix no
+    residue are exactly those with n/2 - |seed| free orbit pairs."""
+    systems = 0
+    for p, q in SYSTEMS_TO_400:
+        system, seed, graph = _setup(p, q)
+        n, members = system.n, seed.members
+        if n % 2 or 2 * len(members) > n:
+            continue
+        witnesses = enumerate_weak_witnesses(seed).witnesses
+        free = [T for T in witnesses if not fixed_points(T)]
+        assert free == [
+            T for T in witnesses if len(_orbit_pairs(T, members)) == n // 2 - len(members)
+        ], (p, q)
+        systems += 1
+    assert systems == 351
+
+
+@settings(max_examples=5, deadline=None)
+@given(rnd=st.randoms(use_true_random=False))
+def test_the_strong_witnesses_of_a_half_fix_no_residue(extend_reports, rnd):
+    """No strong witness of one of extend's halves has a fixed point. Each
+    example samples 20 halves of each system with n > 26 in extend_reports;
+    every half with n <= 26 is checked in
+    test_a_half_is_strong_under_exactly_the_witnesses_that_produce_it."""
+    for p, q in extend_reports:
+        system, seed, graph = _setup(p, q)
+        if system.n <= 26:
+            continue
+        for record in rnd.sample(extend_reports[p, q].partitions, 20):
+            dichotomy = Dichotomy(system.ring, frozenset(record.consonant), frozenset(record.dissonant))
+            assert not any(fixed_points(U) for U in find_affine_for_partition(dichotomy, seed))
 
 
 def test_the_involutive_isometries_have_two_or_four_multipliers():
