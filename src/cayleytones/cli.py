@@ -39,28 +39,24 @@ from .music import (
 # that print text start without it.
 
 
-class CliError(Exception):
-    """A user-input problem reported as a one-line diagnostic (exit 2)."""
-
-
 class _Parser(argparse.ArgumentParser):
     # Route argparse's own failures through the one-line/exit-2 path.
     def error(self, message: str) -> None:
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _system(args: argparse.Namespace) -> MusicalSystem:
     if args.n is not None:
-        raise CliError("n is derived from -p and -q; pass -p P -q Q")
+        raise ValueError("n is derived from -p and -q; pass -p P -q Q")
     if args.p is None or args.q is None:
-        raise CliError("a system needs both -p and -q")
+        raise ValueError("a system needs both -p and -q")
     return system_from_factors(args.p, args.q, args.s, args.f0)
 
 
 def _residue(name: str, value: int, n: int) -> int:
     """value, refused unless it is in 0..n-1: no argument is reduced mod n."""
     if not 0 <= value < n:
-        raise CliError(f"{name} {value} is not in 0..{n - 1}")
+        raise ValueError(f"{name} {value} is not in 0..{n - 1}")
     return value
 
 
@@ -105,7 +101,7 @@ def _cmd_chords(args: argparse.Namespace) -> _Output:
     system = _system(args)
     if args.quality is None:
         if args.root is not None:
-            raise CliError("--root requires --quality")
+            raise ValueError("--root requires --quality")
         entries = chord_catalog(system)
         return [entry.to_dict() for entry in entries], "\n".join(
             f"{entry.name}: " + _join(f"+{w}" for w in entry.steps)
@@ -135,13 +131,13 @@ def _parse_residues(text: str, n: int) -> frozenset[int]:
     try:
         values = [int(token) for token in text.replace(",", " ").split()]
     except ValueError:
-        raise CliError(f"could not parse residue list {text!r}") from None
+        raise ValueError(f"could not parse residue list {text!r}") from None
     if not values:
-        raise CliError("--consonants needs at least one residue")
+        raise ValueError("--consonants needs at least one residue")
     seen: set[int] = set()
     for value in values:
         if _residue("--consonants residue", value, n) in seen:
-            raise CliError(f"--consonants residue {value} is listed twice")
+            raise ValueError(f"--consonants residue {value} is listed twice")
         seen.add(value)
     return frozenset(seen)
 
@@ -167,9 +163,9 @@ def _table(result) -> str:
 def _search(args: argparse.Namespace, system: MusicalSystem):
     """The search report for args.mode, or the chosen Dichotomy for refine."""
     if args.consonants is not None and args.mode != "strong":
-        raise CliError("--consonants applies only to --strong")
+        raise ValueError("--consonants applies only to --strong")
     if (args.multiplier, args.offset) != (None, None) and args.mode != "maximal":
-        raise CliError("--multiplier and --offset apply only to --maximal")
+        raise ValueError("--multiplier and --offset apply only to --maximal")
     seed = ConsonantSeed(system.symmetric_generator_set)
     if args.mode == "weak":
         return enumerate_weak_witnesses(seed)
@@ -179,14 +175,12 @@ def _search(args: argparse.Namespace, system: MusicalSystem):
         elif (system.p, system.q) == (4, 3):
             consonant = fux_dichotomy().consonant
         else:
-            raise CliError(
-                "--strong needs --consonants for systems other than -p 4 -q 3"
-            )
+            raise ValueError("--strong needs --consonants for systems other than -p 4 -q 3")
         dissonant = frozenset(range(system.n)) - consonant
         return strong_search_report(Dichotomy(system.ring, consonant, dissonant), seed)
     if args.mode == "maximal":
         if (args.multiplier is None) != (args.offset is None):
-            raise CliError("--maximal takes both --multiplier and --offset")
+            raise ValueError("--maximal takes both --multiplier and --offset")
         witness = None
         if args.multiplier is not None:
             witness = AffineMap(
@@ -204,8 +198,7 @@ def _search(args: argparse.Namespace, system: MusicalSystem):
 
 def _cmd_counterpoint(args: argparse.Namespace) -> None:
     result = _search(args, _system(args))
-    # Without --json, reports print as tables on a terminal or under --pretty.
-    if not args.json and (args.pretty or sys.stdout.isatty()):
+    if args.pretty and not args.json:
         print(_table(result))
     else:
         print(result.to_json(indent=2 if args.pretty else None))
@@ -219,7 +212,7 @@ def _cmd_render(args: argparse.Namespace) -> _Output:
         try:
             plan = RenderPlan.from_dict(json.load(handle))
         except RecursionError:
-            raise CliError(f"the plan file {args.plan} nests too deeply to read") from None
+            raise ValueError(f"the plan file {args.plan} nests too deeply to read") from None
     # The plan is fully checked, so the output file is opened only for a
     # plan that renders.
     samples = _render_wav(plan, args.out)
@@ -395,7 +388,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

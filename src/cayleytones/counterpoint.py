@@ -292,7 +292,7 @@ def enumerate_weak_witnesses(seed: ConsonantSeed) -> SearchReport:
 def _orbit_pairs(T: AffineMap, seed: frozenset[int]) -> list[tuple[int, int]]:
     """The pairs {z, T(z)}, z != T(z), that avoid the seed and its image."""
     taken = seed | _image(T, seed)
-    return [(z, T(z)) for z in range(T.ring.n) if z not in taken and z < T(z)]
+    return [(z, t) for z, t in enumerate(map(T, range(T.ring.n))) if z not in taken and z < t]
 
 
 def _pick_masks(seed: Iterable[int], pairs: list[tuple[int, int]], U=lambda z: z) -> list[int]:
@@ -304,14 +304,14 @@ def _pick_masks(seed: Iterable[int], pairs: list[tuple[int, int]], U=lambda z: z
 
 
 def _extensions(members: frozenset[int], T: AffineMap, pairs: list[tuple[int, int]],
-                witnesses: Iterable[AffineMap]) -> list[PartitionRecord]:
+                maps: Iterable[AffineMap]) -> list[PartitionRecord]:
     """The records of K = the seed plus one element per T-pair and D = T(K),
-    in product(*pairs) order, with K's strong witnesses among the weak
-    witnesses given (0 unless K halves Z_n).
+    in product(*pairs) order, with K's strong witnesses among the maps given.
 
-    A half K's strong witnesses U (U(K) = D) fix no residue, so each has as
-    many free pairs as T; and as |U(K)| = n/2, U(K) = D exactly when K and
-    U(K) are disjoint. So only those witnesses are tested, on bit masks.
+    T moves the seed off itself, so n = 2|seed| + 2|pairs| + |fixed points|
+    and K halves Z_n only when T fixes no residue; a half's strong witnesses
+    U fix none either. As |U(K)| = n/2, U(K) = D exactly when K and U(K)
+    are disjoint, which is tested on bit masks.
     """
     # Row r of the counts is K = high[r] | low[c] for each c, in product(*pairs)
     # order. With i, j the U-images of the parts, K misses U(K) when k & i,
@@ -319,12 +319,11 @@ def _extensions(members: frozenset[int], T: AffineMap, pairs: list[tuple[int, in
     cut = len(pairs) // 2
     high, low = _pick_masks(members, pairs[:cut]), _pick_masks((), pairs[cut:])
     counts = [[0] * len(low) for _ in high]
-    for U in witnesses if 2 * (len(members) + len(pairs)) == T.ring.n else ():
-        if len(_orbit_pairs(U, members)) == len(pairs):
-            # A low part that meets its own image becomes -1, which meets any i.
-            lows = [-1 if l & j else l for l, j in zip(low, _pick_masks((), pairs[cut:], U))]
-            counts = [[m + (not l & i) for m, l in zip(row, lows)] if not k & i else row
-                      for row, k, i in zip(counts, high, _pick_masks(members, pairs[:cut], U))]
+    for U in maps:
+        # A low part that meets its own image becomes -1, which meets any i.
+        lows = [-1 if l & j else l for l, j in zip(low, _pick_masks((), pairs[cut:], U))]
+        counts = [[m + (not l & i) for m, l in zip(row, lows)] if not k & i else row
+                  for row, k, i in zip(counts, high, _pick_masks(members, pairs[:cut], U))]
     # D = T(K) is the seed's image plus the partner of each pick.
     base, image, h, w = tuple(members), tuple(_image(T, members)), T.multiplier, T.offset
     partners = product(*[(b, a) for a, b in pairs])
@@ -337,13 +336,15 @@ def _extensions(members: frozenset[int], T: AffineMap, pairs: list[tuple[int, in
 def extend_to_partitions(seed: ConsonantSeed) -> SearchReport:
     """Grow the seed to full half/half partitions under each weak witness.
 
-    Every returned partition is re-verified by counting its strong
-    witnesses among the weak witnesses that fix no residue, rather than
-    trusting the search. A strong witness of K, which holds the seed, is
-    weak and fixes no residue (T(z) = z would put z in both K and D, or in
-    neither), so an empty count, or a first witness or count other than the
-    search's, is an AssertionError. A search that would enumerate more than
-    2**22 subsets raises ValueError before it enumerates any.
+    A weak witness T splits Z_n into the seed, its image, T's free pairs and
+    its fixed points (n = 2|seed| + 2|pairs| + |fixed|), so the T that reach
+    a half are those that fix no residue. A half's strong witnesses are
+    among them: T(z) = z would put z in both K and D, or in neither. Every
+    returned partition is re-verified rather than trusted: a K and D that do
+    not split Z_n, an empty recount of K's strong witnesses among the weak
+    witnesses that fix no residue, or a first witness or count other than
+    the search's, is an AssertionError. A search that would enumerate more
+    than 2**22 subsets raises ValueError before it enumerates any.
     """
     n = seed.ring.n
     if n % 2 == 1:
@@ -364,17 +365,18 @@ def extend_to_partitions(seed: ConsonantSeed) -> SearchReport:
             if len(reaching) * 2**needed > _MAX_SUBSETS:
                 raise ValueError(f"extend on Z_{n} would enumerate over {_MAX_SUBSETS} subsets")
     # K's strong witnesses are the reaching T that make it, so its first record names the first.
-    found = {}
+    found, maps = {}, [T for T, _ in reaching]
     for T, pairs in reaching:
-        for record in _extensions(members, T, pairs, weak_report.witnesses):
+        for record in _extensions(members, T, pairs, maps):
             found.setdefault(record.consonant, record)
-    universe = frozenset(range(n))
     free = [T for T in weak_report.witnesses if not fixed_points(T)]
+    universe = list(range(n))
     for record in found.values():
-        K = frozenset(record.consonant)
-        strong = _strong_witnesses(free, K, universe - K)
+        K, D = frozenset(record.consonant), frozenset(record.dissonant)
+        strong = _strong_witnesses(free, K, D)
         recount = [(U.multiplier, U.offset, len(strong)) for U in strong[:1]]
-        if recount != [(record.multiplier, record.offset, record.strong_witness_count)]:
+        split = sorted(record.consonant + record.dissonant) == universe
+        if not split or recount != [(record.multiplier, record.offset, record.strong_witness_count)]:
             raise AssertionError(f"K={sorted(K)}: recount {recount} disagrees with {record}")
     records = sorted(found.values(), key=lambda r: (r.multiplier, r.offset, r.consonant))
     notes = weak_report.notes + (
@@ -412,10 +414,12 @@ def maximal_consonant_extension(
     pairs = _orbit_pairs(T, members)
     if 2 ** len(pairs) > _MAX_SUBSETS:
         raise ValueError(f"{T} would give 2^{len(pairs)} maximal sets, over {_MAX_SUBSETS}")
-    records = sorted(_extensions(members, T, pairs, candidates), key=lambda r: r.consonant)
+    fixed = fixed_points(T)
+    free = [] if fixed else [U for U in candidates if not fixed_points(U)]
+    records = sorted(_extensions(members, T, pairs, free), key=lambda r: r.consonant)
     notes = (
         f"seed consonances: {sorted(members)}",
-        f"fixed points excluded from candidates: {sorted(fixed_points(T))}",
+        f"fixed points excluded from candidates: {sorted(fixed)}",
         f"free orbit pairs under the involution: {[list(o) for o in pairs]}",
         f"maximal consonant sets: {len(records)} of size {len(members) + len(pairs)}",
     )

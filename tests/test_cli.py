@@ -480,6 +480,19 @@ def test_counterpoint_output_is_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("mode", [(), ("--weak",)])
+def test_counterpoint_output_does_not_depend_on_a_terminal(capsys, monkeypatch, mode):
+    # On a terminal, too, a search prints its --json bytes, and only
+    # --pretty asks for the table.
+    argv = ("counterpoint", "search", "-p", "4", "-q", "3", *mode)
+    as_json, table = run(capsys, *argv, "--json"), run(capsys, *argv, "--pretty")
+    assert as_json[0] == table[0] == 0 and as_json[1] != table[1]
+    monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    assert sys.stdout.isatty()
+    assert run(capsys, *argv) == as_json
+    assert run(capsys, *argv, "--pretty") == table
+
+
 def test_render_plan(capsys, tmp_path):
     plan = {
         "system": {"p": 4, "q": 3},

@@ -414,6 +414,31 @@ def test_extend_raises_when_a_first_witness_has_a_fixed_point(monkeypatch):
         extend_to_partitions(SEED12)
 
 
+def test_extend_raises_when_a_record_s_d_meets_its_k(capsys, monkeypatch):
+    """extend checks that each record's K and its own D split Z_n: one
+    residue of K moved into D, with the first witness and count left as they
+    were, is an AssertionError, and the CLI exits 1 with one line."""
+    real = counterpoint._extensions
+
+    def moves_a_residue_of_k_into_d(*args):
+        records = real(*args)
+        r = records[-1]
+        dissonant = tuple(sorted(r.consonant[:1] + r.dissonant[1:]))
+        records[-1] = PartitionRecord(
+            r.consonant, dissonant, r.multiplier, r.offset, r.strong_witness_count
+        )
+        return records
+
+    monkeypatch.setattr(counterpoint, "_extensions", moves_a_residue_of_k_into_d)
+    with pytest.raises(AssertionError):
+        extend_to_partitions(SEED12)
+    capsys.readouterr()
+    code = main(["counterpoint", "search", "-p", "5", "-q", "4"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("internal error: ") and err.count("\n") == 1, err
+
+
 def test_the_fixed_point_free_weak_witnesses_are_those_that_reach_a_half():
     """A strong witness T of a half (T(K) = D) fixes no residue: T(z) = z
     puts z in both K and D, or in neither. For every even system with
