@@ -187,16 +187,19 @@ class Envelope:
                 f"but the note lasts {duration}s"
             )
 
-    def amplitudes(self, t: np.ndarray, duration=None) -> np.ndarray:
+    def amplitudes(self, t: np.ndarray, duration) -> np.ndarray:
         """The gain at each time in t of a note of this duration, or a row of
-        them for each of a column of durations; with no duration, of a note
-        that has not ended, so without the release.
+        them for each of a column of durations (math.inf: one not yet ended).
 
         t must be non-decreasing, as every time axis here is, so that the
         attack and decay are slices of it; a t that is not is refused with
         ValueError. Attack, decay and release are written in that order, a
-        later segment over an earlier one where they meet. Each gain
-        depends only on its own time, the envelope and the duration.
+        later segment over an earlier one where they meet. The release is
+        computed on duration - t clipped to [0, 2 * release]: it cannot
+        overflow, it is 0 from the note's end on, and where it is written
+        the clip changes nothing, as the rounded duration - release is no
+        further than duration from the exact value. Each gain depends only
+        on its time, the envelope and the duration.
         """
         import numpy as np
 
@@ -210,11 +213,10 @@ class Envelope:
             g[a:d] = (
                 1.0 - (1.0 - self.sustain_level) * (t[a:d] - self.attack) / self.decay
             )
-        if duration is None:
-            return g
         self.check_fits(np.min(duration))
         rows = np.subtract(duration, t)
         if self.release > 0:
+            np.clip(rows, 0.0, 2.0 * self.release, out=rows)
             np.multiply(self.sustain_level, rows, out=rows)
             np.divide(rows, self.release, out=rows)
             np.copyto(rows, g, where=t < np.subtract(duration, self.release))
@@ -507,7 +509,7 @@ class _Mixer:
             durations = np.array([event[2] for event in batch])[:, None]
             self.mix(batch, start, t, rows, index, envelope.amplitudes(t, durations))
         if envelope is not None and shared:
-            np.multiply(rows, envelope.amplitudes(t), out=rows)
+            np.multiply(rows, envelope.amplitudes(t, math.inf), out=rows)
         for first in range(0, len(shared), size):
             self.mix(shared[first : first + size], start, t, rows, index)
 
@@ -635,20 +637,17 @@ def _quantize(samples: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarr
     zero, clamped to the valid range, or ValueError if one is not finite.
 
     Works in place on one scaled copy, or on out (which may be samples
-    itself): floor(|x| * 32767 + 0.5), then negated where x has its sign
-    bit set (so -0.0 stays -0.0 and quantizes to 0). Each step is a plain
-    ufunc, which releases the GIL to the other render threads.
+    itself): trunc(x * 32767 + copysign(0.5, x * 32767)), which is the sign
+    of x, -0.0's too, times floor(|x| * 32767 + 0.5), as * and + are
+    symmetric in sign. Each step is a plain ufunc, which releases the GIL.
     """
     import numpy as np
 
     if not np.isfinite(samples).all():
         raise ValueError("cannot write non-finite samples (NaN or inf) to a WAV file")
-    negative = np.signbit(samples)
-    scaled = np.abs(samples, out=out)
-    scaled *= 32767.0
-    scaled += 0.5
-    np.floor(scaled, out=scaled)
-    np.negative(scaled, out=scaled, where=negative)
+    scaled = np.multiply(samples, 32767.0, out=out)
+    scaled += np.copysign(0.5, scaled)
+    np.trunc(scaled, out=scaled)
     np.clip(scaled, -32768, 32767, out=scaled)
     return scaled.astype("<i2")
 

@@ -1,7 +1,9 @@
 """Tone generation, envelopes, mixing, rendering, WAV round-trips."""
 
+import math
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +200,47 @@ def test_envelope_equals_the_mask_formula_bit_for_bit(block, longer):
 def test_envelope_refuses_times_out_of_order(t):
     with pytest.raises(ValueError, match="^envelope times must be non-decreasing$"):
         Envelope().amplitudes(np.array(t), 1.0)
+
+
+@pytest.mark.parametrize(
+    "release", [5e-324, 1e-320, 1e-310, np.finfo(np.float64).tiny, 1e-300, 0.05]
+)
+def test_envelope_release_is_0_past_the_end_and_never_overflows(release):
+    envelope, plain = Envelope(release=release), Envelope(release=0.0)
+    ends = np.array([0.15, 0.3, 1.0, 60.0, 3600.0])
+    # Times up to twice the longest, with each end and its neighbours.
+    t = np.unique(
+        np.concatenate(
+            [np.linspace(0.0, 7200.0, 100_001), ends, np.nextafter(ends, 0.0),
+             np.nextafter(ends, np.inf)]
+        )
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = envelope.amplitudes(t, ends[:, None])
+        for end, row in zip(ends, rows):
+            assert row.tobytes() == envelope.amplitudes(t, end).tobytes()
+        endless = envelope.amplitudes(t, math.inf)
+    ended = t >= ends[:, None]
+    assert (rows[ended] == 0.0).all()
+    assert endless.tobytes() == plain.amplitudes(t, math.inf).tobytes()
+    if release <= 1e-300:
+        # duration - release rounds to the duration: no time before the
+        # end is in the release.
+        assert (rows[~ended] == plain.amplitudes(t, ends[:, None])[~ended]).all()
+
+
+def test_the_release_clip_keeps_the_gains_of_the_release():
+    # The release starts at sample 23,203, where duration - t is more than
+    # the release, as duration - release rounds down to that sample's time;
+    # a clip to [0, release] would change that gain.
+    duration, release = 24_922 / SAMPLE_RATE, 1_719 / SAMPLE_RATE
+    envelope = Envelope(0.0, 0.0, 0.8, release)
+    t = np.arange(24_922) / SAMPLE_RATE
+    assert t[23_202] < duration - release == t[23_203]
+    assert duration - t[23_203] > release
+    g = envelope.amplitudes(t, duration)
+    assert g.tobytes() == _amplitudes_by_masks(envelope, t, duration).tobytes()
 
 
 def test_envelope_validation():

@@ -493,6 +493,43 @@ def test_counterpoint_output_does_not_depend_on_a_terminal(capsys, monkeypatch, 
     assert run(capsys, *argv, "--pretty") == table
 
 
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _shown_output(command):
+    """What README.md shows command printing: its comment, from the last
+    ": " on, or the comment line under it."""
+    lines = README.splitlines()
+    [i] = [i for i, line in enumerate(lines) if line.split("#")[0].strip() == command]
+    if "#" in lines[i]:
+        return lines[i].split("#", 1)[1].rsplit(": ", 1)[1]
+    return lines[i + 1].removeprefix("# ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "cayleytones validate -p 4 -q 3",
+        "cayleytones circle -p 5 -q 2",
+        "cayleytones distance -p 4 -q 3 0 7",
+        "cayleytones distance -p 4 -q 3 0 5 --oriented",
+        "cayleytones scale -p 4 -q 3 --quality major",
+        "cayleytones counterpoint search -p 23 -q 2",
+        "cayleytones render --plan plan.json --out out.wav",
+    ],
+)
+def test_readme_examples_print_what_the_readme_shows(
+    capsys, tmp_path, monkeypatch, command
+):
+    # The render example reads the plan printed under "Plan format".
+    plan = README.split("Plan format:\n\n```json\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "plan.json").write_text(plan)
+    monkeypatch.chdir(tmp_path)
+    shown = _shown_output(command) + "\n"
+    expected = (2, "", shown) if shown.startswith("error: ") else (0, shown, "")
+    assert run(capsys, *command.split()[1:]) == expected
+
+
 def test_render_plan(capsys, tmp_path):
     plan = {
         "system": {"p": 4, "q": 3},
@@ -920,6 +957,36 @@ def test_render_refuses_a_note_ladder_past_the_bound_at_once(tmp_path, plan, mes
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
     assert not out_path.exists()
+
+
+def test_render_takes_a_subnormal_release(tmp_path):
+    # A subprocess, so that a numpy warning would show on stderr. Past the
+    # short note's end, an unclipped release divides by 1e-310 and overflows.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    wavs = []
+    for release in (1e-310, 0.0):
+        plan = {
+            "system": {"p": 4, "q": 3},
+            "events": [
+                {"kind": "chord", "duration": 0.3, "notes": [0, 4, 7]},
+                {"kind": "note", "duration": 0.1, "notes": [3]},
+            ],
+            "envelope": {"release": release},
+        }
+        plan_path, out_path = tmp_path / "plan.json", tmp_path / f"{release}.wav"
+        plan_path.write_text(json.dumps(plan))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "cayleytones.cli", "render",
+                "--plan", str(plan_path), "--out", str(out_path),
+            ],
+            capture_output=True, text=True, env=env, check=False, timeout=20,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        wavs.append(out_path.read_bytes())
+    assert wavs[0] == wavs[1]
 
 
 def test_render_plan_up_to_the_wav_size_limit_builds():

@@ -1,6 +1,8 @@
 """Dichotomy searches: weak/strong witnesses, extensions, refinement."""
 
+import json
 import math
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -16,6 +18,7 @@ from cayleytones.counterpoint import (
     NoStrongDichotomyError,
     PartitionRecord,
     SearchReport,
+    _image,
     _involutive_isometries,
     _orbit_pairs,
     enumerate_weak_witnesses,
@@ -685,3 +688,40 @@ def test_searches_agree_with_the_per_map_oracles(pq, paired, rnd):
     ]
     involutive = sum(is_involution(T) and is_isometry_bruteforce(graph, T) for T in maps)
     assert f"involutive isometries among candidates: {involutive}" in report.notes
+
+
+def test_the_strong_dichotomies_of_z12(capsys):
+    """Every half of Z_12 with a strong witness, found two ways: over the
+    table every search filters, and by satisfies_strong over all 48 affine
+    maps, which on Z_12 are all isometries. Up to them the 288 halves with
+    one witness fall into Mazzola's 6 classes (The Topos of Music, 2002)."""
+    table = _involutive_isometries(SEED12.generators)
+    affine = [AffineMap(RING12, h, w) for h in units(RING12) for w in range(12)]
+    assert (len(table), len(affine)) == (24, 48)
+    assert all(is_isometry_bruteforce(G12, T) for T in affine)
+    counts = {}
+    for half in combinations(range(12), 6):
+        K = frozenset(half)
+        dichotomy = Dichotomy(RING12, K, frozenset(range(12)) - K)
+        witnesses = _keys(T for T in table if _image(T, K) == dichotomy.dissonant)
+        assert witnesses == _keys(T for T in affine if satisfies_strong(T, dichotomy, G12))
+        if witnesses:
+            counts[K] = len(witnesses)
+    assert len(counts) == 492
+    assert Counter(counts.values()) == {1: 288, 2: 180, 4: 18, 8: 6}
+    # A class is named by its least sorted image; an isometry conjugates
+    # the witnesses of a half into those of its image, so counts agree.
+    classes = {}
+    for K, count in counts.items():
+        images = [_image(T, K) for T in affine]
+        assert {counts[image] for image in images} == {count}
+        classes[min(tuple(sorted(image)) for image in images)] = count
+    assert len(classes) == 18
+    assert Counter(classes.values())[1] == 6
+    assert counts[FUX.consonant] == 1
+    assert _keys(find_affine_for_partition(FUX, SEED12)) == [(5, 2)]
+    assert main(["counterpoint", "search", "-p", "4", "-q", "3"]) == 0
+    partitions = json.loads(capsys.readouterr().out)["partitions"]
+    assert len(partitions) == 4
+    for record in partitions:
+        assert record["strong_witness_count"] == counts[frozenset(record["K"])]
