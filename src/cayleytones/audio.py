@@ -139,20 +139,25 @@ def _check_duration(duration: float) -> int:
     return count
 
 
-def _check_frequency(frequency: float, what: str) -> None:
-    """Raise ValueError unless frequency is below the Nyquist frequency
-    SAMPLE_RATE / 2, where it would alias; what names the sound."""
+def _check_voice(frequency: float, duration: float, depth: float, what: str) -> None:
+    """Raise ValueError unless the voice that what names sounds below the
+    Nyquist frequency SAMPLE_RATE / 2 and keeps the phases of _voices finite."""
     if frequency >= SAMPLE_RATE / 2:
         raise ValueError(
             f"{what} sounds at {frequency} Hz, "
             f"not below the Nyquist frequency {SAMPLE_RATE / 2} Hz"
+        )
+    # Bounds every phase: |t + m*sin(...)| <= duration + |m|.
+    if not math.isfinite(2.0 * math.pi * frequency * (duration + abs(depth))):
+        raise ValueError(
+            f"{what} with modulation_depth {depth} has a phase past the float range"
         )
 
 
 def pure_tone(spec: ToneSpec) -> SampleBuffer:
     """samples[i] = sin(2*pi*f*t_i) with t_i = i / SAMPLE_RATE."""
     _check_duration(spec.duration)
-    _check_frequency(spec.frequency, "the tone")
+    _check_voice(spec.frequency, spec.duration, 0.0, "the tone")
     samples = _event_samples(spec.duration, (spec.frequency,), None, 0.0)
     samples.setflags(write=False)
     return SampleBuffer(samples)
@@ -173,7 +178,7 @@ class Envelope:
             raise ValueError("envelope segment durations must be nonnegative")
         if not 0 <= self.sustain_level <= 1:
             raise ValueError("sustain level must lie in [0, 1]")
-        if not math.isfinite(self.attack + self.decay + self.release):
+        if not math.isfinite(self.attack + self.decay + 2 * self.release):
             raise ValueError(
                 "envelope segments must sum to a finite time, got attack "
                 f"{self.attack}, decay {self.decay} and release {self.release}"
@@ -195,11 +200,12 @@ class Envelope:
         attack and decay are slices of it; a t that is not is refused with
         ValueError. Attack, decay and release are written in that order, a
         later segment over an earlier one where they meet. The release is
-        computed on duration - t clipped to [0, 2 * release]: it cannot
-        overflow, it is 0 from the note's end on, and where it is written
-        the clip changes nothing, as the rounded duration - release is no
-        further than duration from the exact value. Each gain depends only
-        on its time, the envelope and the duration.
+        computed on duration - t clipped to [0, 2 * release], which the
+        envelope keeps finite: it cannot overflow, it is 0 from the note's
+        end on, and where it is written the clip changes nothing, as the
+        rounded duration - release is no further than duration from the
+        exact value. Each gain depends only on its time, the envelope and
+        the duration.
         """
         import numpy as np
 
@@ -209,10 +215,8 @@ class Envelope:
         g = np.full(len(t), self.sustain_level, dtype=np.float64)
         if self.attack > 0:
             g[:a] = t[:a] / self.attack
-        if self.decay > 0:
-            g[a:d] = (
-                1.0 - (1.0 - self.sustain_level) * (t[a:d] - self.attack) / self.decay
-            )
+        # With no decay d == a, so nothing is divided.
+        g[a:d] = 1.0 - (1.0 - self.sustain_level) * (t[a:d] - self.attack) / self.decay
         self.check_fits(np.min(duration))
         rows = np.subtract(duration, t)
         if self.release > 0:
@@ -320,16 +324,10 @@ class RenderPlan:
                     raise ValueError(
                         f"octave {octave} outside [-{MAX_MODULUS}, {MAX_MODULUS}]"
                     )
-                spec = ToneSpec(note_frequency(self.system, note, octave), event.duration)
-                _check_frequency(spec.frequency, f"note {note} at octave {octave}")
-                # Bounds every phase _voices makes: |t + m*sin(...)| <= duration + |m|.
-                span = event.duration + abs(self.modulation_depth)
-                if not math.isfinite(2.0 * math.pi * spec.frequency * span):
-                    raise ValueError(
-                        f"note {note} at octave {octave} with modulation_depth "
-                        f"{self.modulation_depth} has a phase past the float range"
-                    )
-                frequencies.append(spec.frequency)
+                frequency = note_frequency(self.system, note, octave)
+                what = f"note {note} at octave {octave}"
+                _check_voice(frequency, event.duration, self.modulation_depth, what)
+                frequencies.append(frequency)
             if frequencies:
                 if self.envelope is not None:
                     self.envelope.check_fits(event.duration)

@@ -190,10 +190,11 @@ def _image(T: AffineMap, X: Iterable[int]) -> frozenset[int]:
 def _involutive_isometries(S: GeneratorSet) -> list[AffineMap]:
     """Every map x -> hx+w with h^2 = 1, hS = S and (h+1)w = 0, by (h, w).
 
-    On every system with n <= 40 it is every involutive isometry of the
-    step graph, affine or not, as tests/test_cayley.py checks in
-    test_every_automorphism_of_a_system_graph_is_affine. Every search
-    filters this one table.
+    It is every involutive isometry of the step graph, the torus C_q x C_p:
+    for relatively prime factors the automorphisms of a Cartesian product
+    are pairs of theirs (Imrich and Klavzar, Product Graphs), 2n for q = 2,
+    else 4n, as many as the affine isometries (tests/test_cayley.py counts
+    them on n <= 117). Every search filters this one table.
     """
     ring, n = S.ring, S.ring.n
     return [

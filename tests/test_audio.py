@@ -270,7 +270,13 @@ def test_events_longer_than_a_wav_file_are_refused_before_rounding(make):
 
 @pytest.mark.parametrize(
     "segments",
-    [{"attack": 1e308, "decay": 1e308}, {"release": INF}, {"attack": INF, "decay": 0.0}],
+    [
+        {"attack": 1e308, "decay": 1e308},
+        {"release": INF},
+        {"attack": INF, "decay": 0.0},
+        # 2 * release, the bound of the release's clip, overflows.
+        {"release": 1e308},
+    ],
 )
 def test_envelope_segments_must_sum_to_a_finite_time(segments):
     with pytest.raises(ValueError, match="envelope segments must sum to a finite time"):
@@ -387,6 +393,18 @@ LONG_ENVELOPE = Envelope(attack=0.05, decay=0.05, sustain_level=0.5, release=0.0
         pytest.param(
             RenderEvent("rest", 0.1), LONG_ENVELOPE, 0.0, None, None,
             id="rest-shorter-than-envelope",
+        ),
+        # 440 Hz / 2**4096 rounds to 0.0 Hz, which sounds silence, as a
+        # subnormal frequency does.
+        pytest.param(
+            RenderEvent("note", 0.1, ((0, -4096),)), None, 0.0, None, None,
+            id="frequency-underflows-to-zero",
+        ),
+        pytest.param(
+            RenderEvent("note", 0.1, ((0, 1100),)), None, 0.0, ValueError,
+            "^note 0 at octave 1100 sounds at inf Hz, "
+            "not below the Nyquist frequency 22050\\.0 Hz$",
+            id="frequency-overflows-to-inf",
         ),
     ],
 )

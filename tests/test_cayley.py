@@ -363,15 +363,15 @@ def _automorphisms_fixing_zero(n, steps):
 
 
 def test_every_automorphism_of_a_system_graph_is_affine():
-    """On all 22 valid systems with n <= 40, the automorphisms of the
+    """On all 100 valid systems with n <= 117, the automorphisms of the
     unoriented graph that fix 0 are as many as the isometric multipliers
     h (hS = S), 2 when q = 2 and 4 otherwise. So every automorphism, and
     every isometry, is x -> hx + w."""
     # The count sees maps that are not affine: K_4 and K_3,3 as Cayley graphs.
     assert _automorphisms_fixing_zero(4, (1, 2, 3)) == 6
     assert _automorphisms_fixing_zero(6, (1, 3, 5)) == 12
-    systems = [(p, q) for p, q in TORUS_SYSTEMS if p * q <= 40]
-    assert len(systems) == 22
+    systems = [(p, q) for p, q in TORUS_SYSTEMS if p * q <= 117]
+    assert len(systems) == 100
     for p, q in systems:
         n, ring = p * q, ModRing(p * q)
         S = _symmetric_set(n, p, q)

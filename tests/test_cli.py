@@ -1035,6 +1035,26 @@ def test_render_streams_the_bytes_of_the_in_memory_path(capsys, tmp_path):
     )
 
 
+def test_a_note_past_the_float_range_is_silent_below_and_refused_above(capsys, tmp_path):
+    """440 Hz / 2**4096 rounds to 0.0 Hz and renders the bytes of a rest;
+    440 Hz * 2**1100 rounds to inf Hz, which the Nyquist check names."""
+    note = {"kind": "note", "duration": 0.2, "notes": [{"note": 0, "octave": -4096}]}
+    code, out, err, low = _render_cli(capsys, tmp_path, _note_plan(events=[note]), "low.wav")
+    assert (code, err) == (0, "")
+    rest = _note_plan(events=[{"kind": "rest", "duration": 0.2}])
+    code, out, err, silent = _render_cli(capsys, tmp_path, rest, "rest.wav")
+    assert (code, err) == (0, "")
+    assert low.read_bytes() == silent.read_bytes()
+    note["notes"][0]["octave"] = 1100
+    code, out, err, high = _render_cli(capsys, tmp_path, _note_plan(events=[note]), "high.wav")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: note 0 at octave 1100 sounds at inf Hz, "
+        "not below the Nyquist frequency 22050.0 Hz\n"
+    )
+    assert not high.exists()
+
+
 # Run with -E, so the child imports the package from src and nothing else.
 NUMPY_FREE_START = """
 import contextlib, hashlib, io, sys

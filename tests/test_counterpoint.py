@@ -373,6 +373,71 @@ def test_extend_merges_the_maximal_sets_of_each_reaching_witness(extend_reports)
     assert len(extend_reports) == 12
 
 
+def test_the_strong_witness_counts_sum_to_the_accepted_subsets(extend_reports):
+    """Each reaching weak witness is a strong witness of exactly the
+    2^needed halves it makes, and of no other half. So a search's
+    strong_witness_counts sum to its note "extension subsets accepted across
+    witnesses", len(reaching) * 2^needed. Each record's own (h, w) sends K
+    onto D."""
+    sums = {}
+    for (p, q), report in extend_reports.items():
+        note = next(line for line in report.notes if line.startswith("extension subsets accepted"))
+        sums[p, q] = sum(record.strong_witness_count for record in report.partitions)
+        assert sums[p, q] == int(note.rpartition(": ")[2]), (p, q)
+        ring = ModRing(report.n)
+        for record in report.partitions:
+            T = AffineMap(ring, record.multiplier, record.offset)
+            assert set(map(T, record.consonant)) == set(record.dissonant), (p, q, record)
+    assert sums == {
+        (5, 2): 4, (7, 2): 32, (9, 2): 192, (11, 2): 1024, (13, 2): 5120,
+        (15, 2): 24576, (4, 3): 4, (8, 3): 1536, (10, 3): 16384, (5, 4): 256,
+        (7, 4): 7168, (6, 5): 16384,
+    }
+
+
+# The partitions of least oriented score on each system of extend_reports:
+# one where --refine finds a winner, else the size of the tie.
+REFINE_LEAST = {
+    (5, 2): 2, (7, 2): 2, (9, 2): 2, (11, 2): 2, (13, 2): 2, (15, 2): 2,
+    (4, 3): 1, (8, 3): 1, (10, 3): 1, (5, 4): 6, (7, 4): 8, (6, 5): 1,
+}
+
+
+def test_refine_has_a_winner_on_four_systems_and_a_tie_on_eight(capsys, extend_reports):
+    """Each score is recomputed by the torus closed form, not by
+    oriented_path_length: x = a*p + b*q with 0 <= a < q and 0 <= b < p lies
+    a + b oriented steps from 0. A tie raises AmbiguousRefinementError
+    naming the tied halves in report order, and the CLI exits 2."""
+    least = {}
+    for (p, q), report in extend_reports.items():
+        system, seed, graph = _setup(p, q)
+
+        def length(x):
+            return x * pow(p, -1, q) % q + x * pow(q, -1, p) % p
+
+        scores = [
+            sum(length(z) for z in set(record.consonant) - seed.members)
+            for record in report.partitions
+        ]
+        lowest = min(scores)
+        best = [r for r, score in zip(report.partitions, scores) if score == lowest]
+        least[p, q] = len(best)
+        oriented = CayleyGraph(system.generator_set, oriented=True)
+        if len(best) == 1:
+            refined = minimal_oriented_refinement(report, oriented)
+            assert sorted(refined.consonant) == list(best[0].consonant), (p, q)
+            assert sorted(refined.dissonant) == list(best[0].dissonant), (p, q)
+        else:
+            with pytest.raises(AmbiguousRefinementError) as info:
+                minimal_oriented_refinement(report, oriented)
+            assert info.value.ties == [record.consonant for record in best], (p, q)
+    assert least == REFINE_LEAST
+    assert main(["counterpoint", "search", "--refine", "-p", "5", "-q", "2"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.count("\n")) == ("", 1)
+    assert captured.err.startswith("error: tied partitions: [(")
+
+
 def test_extend_raises_when_the_recount_disagrees_with_the_enumerator(capsys, monkeypatch):
     """One count off by one in the shared enumerator is caught by extend's
     recount: the library raises AssertionError and the CLI exits 1 with one
